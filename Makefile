@@ -1,6 +1,6 @@
 # Convenience targets; dune is the real build system.
 
-.PHONY: all build test check bench bench-diff obs-smoke obs-bench par-check par-bench conv-check conv-smoke conv-bench cache-check cache-smoke cache-bench asm-check asm-smoke asm-bench server-check server-smoke server-bench models-check models-smoke models-bench corpus-check corpus-bless repro clean
+.PHONY: all build test check bench bench-diff obs-smoke obs-bench par-check par-bench conv-check conv-smoke conv-bench cache-check cache-smoke cache-bench server-check server-smoke server-bench models-check models-smoke models-bench corpus-check corpus-bless loc repro clean
 
 all: build
 
@@ -64,21 +64,6 @@ cache-check:
 	CNT_CACHE=4096 CNT_JOBS=1 dune runtest --force
 	CNT_CACHE=4096 CNT_JOBS=4 dune runtest --force
 
-# Assembly equivalence gate: the full suite with CNFET stamp assembly
-# forced scalar and forced batched (see docs/ASSEMBLY.md).
-asm-check:
-	CNT_ASSEMBLY=scalar dune runtest --force
-	CNT_ASSEMBLY=batched dune runtest --force
-
-# Quick assembly-mode smoke run (1 repeat; prints JSON to stdout).
-asm-smoke:
-	@dune exec bench/main.exe -- assembly-json --smoke
-
-# Full assembly-mode benchmark; refreshes the committed artefact.
-asm-bench:
-	dune exec bench/main.exe -- assembly-json > results/BENCH_assembly.json
-	@tail -n +2 results/BENCH_assembly.json | head -n 8
-
 # Quick cache/batch smoke run (2 repeats; prints JSON to stdout).
 cache-smoke:
 	@dune exec bench/main.exe -- cache-json --smoke
@@ -106,7 +91,7 @@ server-bench:
 # Device-model gate: the full suite with every CNFET forced onto each
 # registered backend (see docs/MODELS.md).  Suites that pin bytes for
 # deck-declared models neutralise the variable; the bitwise-invariance
-# suites (jobs, assembly, cache) genuinely run under the forced backend.
+# suites (jobs, cache) genuinely run under the forced backend.
 models-check:
 	CNT_MODEL=piecewise dune runtest --force
 	CNT_MODEL=vs dune runtest --force
@@ -129,6 +114,12 @@ corpus-check:
 # Regenerate the corpus goldens after an intentional front-end change.
 corpus-bless:
 	CNT_BLESS=1 dune exec test/test_corpus.exe
+
+# Line counts of the OCaml sources, tracked like a bench number:
+# production code (lib+bin), then tests and benches (test+bench).
+loc:
+	@printf 'lib+bin     %s\n' "$$(cat $$(find lib bin -name '*.ml' -o -name '*.mli') | wc -l)"
+	@printf 'test+bench  %s\n' "$$(cat $$(find test bench -name '*.ml' -o -name '*.mli') | wc -l)"
 
 repro:
 	dune exec bin/repro.exe -- all

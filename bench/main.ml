@@ -897,128 +897,6 @@ let cache_json ~repeats =
   Buffer.add_string buf "\n  ]\n}\n";
   print_string (Buffer.contents buf)
 
-(* Batched SoA assembly vs the scalar per-device path: the 51-stage
-   ring transient at the scaling-bench operating point (sparse backend,
-   tstep 1 ps, tstop 100 ps).  Both modes produce byte-identical
-   waveforms (pinned by test/test_assembly.ml); only assembly cost
-   differs.  `main assembly-json` runs the comparison standalone with
-   wall-clock timing, an OBS-instrumented gather/batch_eval/scatter
-   span breakdown and a bitwise waveform digest check, and emits JSON
-   (committed as results/BENCH_assembly.json). *)
-let assembly_group =
-  let open Cnt_numerics in
-  let circuit = lazy (List.assoc 51 (Lazy.force ring_circuits)) in
-  Test.make_grouped ~name:"assembly"
-    (List.map
-       (fun mode ->
-         Test.make
-           ~name:
-             (Printf.sprintf "ring51_tran_%s" (Cnt_spice.Mna.assembly_name mode))
-           (stage_unit (fun () ->
-                Cnt_spice.Transient.run ~backend:Linear_solver.Sparse_backend
-                  ~assembly:mode (Lazy.force circuit) ~tstep:1e-12 ~tstop:2e-11)))
-       [ Cnt_spice.Mna.Scalar; Cnt_spice.Mna.Batched ])
-
-let assembly_json ~repeats =
-  let open Cnt_numerics in
-  let open Cnt_obs in
-  let tstep = 1e-12 and tstop = 1e-10 in
-  (* pre-refactor sparse end-to-end time at these exact parameters,
-     from results/BENCH_sparse.json (stages = 51) *)
-  let baseline_sparse_s = 0.388961 in
-  let circuit = List.assoc 51 (Lazy.force ring_circuits) in
-  let run assembly =
-    Cnt_spice.Transient.run ~backend:Linear_solver.Sparse_backend ~assembly
-      circuit ~tstep ~tstop
-  in
-  let measure assembly =
-    let best = ref infinity and stats = ref None and result = ref None in
-    for k = 1 to 1 + repeats do
-      (* first run warms caches and is discarded *)
-      let t0 = Unix.gettimeofday () in
-      let r = run assembly in
-      let dt = Unix.gettimeofday () -. t0 in
-      if k > 1 && dt < !best then begin
-        best := dt;
-        stats := Some (Cnt_spice.Transient.stats r)
-      end;
-      if Option.is_none !result then result := Some r
-    done;
-    (!best, Option.get !stats, Option.get !result)
-  in
-  let digest (r : Cnt_spice.Transient.result) =
-    Array.fold_left
-      (fun acc sol ->
-        Array.fold_left
-          (fun acc v -> (acc * 31) + Int64.to_int (Int64.bits_of_float v))
-          acc sol)
-      0 r.Cnt_spice.Transient.solutions
-  in
-  (* one instrumented run per mode for the per-phase span totals; the
-     telemetry run's wall clock is not used (spans cost time) *)
-  let spans assembly =
-    Obs.reset ();
-    Obs.enable ();
-    ignore (run assembly);
-    let tbl = Hashtbl.create 8 in
-    List.iter
-      (fun e ->
-        let t = try Hashtbl.find tbl e.Obs.ev_name with Not_found -> 0.0 in
-        Hashtbl.replace tbl e.Obs.ev_name (t +. e.Obs.ev_dur))
-      (Obs.events ());
-    Obs.disable ();
-    Obs.reset ();
-    fun name -> try Hashtbl.find tbl name with Not_found -> 0.0
-  in
-  let scalar_s, sstats, sres = measure Cnt_spice.Mna.Scalar in
-  let batched_s, bstats, bres = measure Cnt_spice.Mna.Batched in
-  let identical = digest sres = digest bres in
-  let bspan = spans Cnt_spice.Mna.Batched in
-  let mode_json name wall (st : Cnt_spice.Mna.stats) extra =
-    Printf.sprintf
-      "  \"%s\": {\"wall_s\": %.6g, \"assemble_s\": %.6g, \"solve_s\": %.6g, \
-       \"newton_iterations\": %d, \"device_evals\": %d%s}"
-      name wall st.Cnt_spice.Mna.assemble_s st.Cnt_spice.Mna.solve_s
-      st.Cnt_spice.Mna.newton_iterations st.Cnt_spice.Mna.device_evals extra
-  in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"benchmark\": \"cnfet_assembly_modes\",\n";
-  Buffer.add_string buf "  \"circuit\": \"ring51_tran\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"tstep_s\": %g,\n  \"tstop_s\": %g,\n  \"repeats\": %d,\n"
-       tstep tstop repeats);
-  Buffer.add_string buf "  \"time_metric\": \"best_wall_clock_s\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"baseline_sparse_s\": %.6g,\n" baseline_sparse_s);
-  Buffer.add_string buf
-    "  \"note\": \"baseline_sparse_s is the pre-refactor end-to-end time from \
-     results/BENCH_sparse.json at identical parameters; \
-     waveforms_bitwise_identical compares every solution vector of the two \
-     modes bit for bit (the invariant pinned by test/test_assembly.ml); the \
-     batched span breakdown comes from a separate telemetry-enabled run\",\n";
-  Buffer.add_string buf (mode_json "scalar" scalar_s sstats "");
-  Buffer.add_string buf ",\n";
-  Buffer.add_string buf
-    (mode_json "batched" batched_s bstats
-       (Printf.sprintf
-          ", \"spans\": {\"gather_s\": %.6g, \"batch_eval_s\": %.6g, \
-           \"scatter_s\": %.6g}"
-          (bspan "assemble.gather")
-          (bspan "assemble.batch_eval")
-          (bspan "assemble.scatter")));
-  Buffer.add_string buf ",\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"speedup_batched_vs_scalar\": %.3g,\n"
-       (scalar_s /. batched_s));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"speedup_vs_baseline\": %.3g,\n"
-       (baseline_sparse_s /. batched_s));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"waveforms_bitwise_identical\": %b\n" identical);
-  Buffer.add_string buf "}\n";
-  print_string (Buffer.contents buf)
-
 (* ------------------------------------------------------------------ *)
 (* Daemon round-trip throughput (ISSUE 8).
 
@@ -1255,7 +1133,7 @@ let all_tests =
     [
       table1; table2; table3; table4; table5; fig23; fig45; fig69; fig1011;
       ablation; spice_group; scaling_group; obs_overhead_group; parallel_group;
-      convergence_group; cache_group; assembly_group; models_group;
+      convergence_group; cache_group; models_group;
     ]
 
 let benchmark () =
@@ -1295,11 +1173,6 @@ let () =
   if Array.length Sys.argv > 1 && Sys.argv.(1) = "cache-json" then begin
     let smoke = Array.length Sys.argv > 2 && Sys.argv.(2) = "--smoke" in
     cache_json ~repeats:(if smoke then 2 else 10);
-    exit 0
-  end;
-  if Array.length Sys.argv > 1 && Sys.argv.(1) = "assembly-json" then begin
-    let smoke = Array.length Sys.argv > 2 && Sys.argv.(2) = "--smoke" in
-    assembly_json ~repeats:(if smoke then 1 else 5);
     exit 0
   end;
   if Array.length Sys.argv > 1 && Sys.argv.(1) = "server-json" then begin

@@ -42,24 +42,6 @@ let ordering_arg =
     & opt (some ordering_conv) None
     & info [ "ordering" ] ~docv:"ORD" ~doc ~env:(Cmd.Env.info "CNT_ORDERING"))
 
-let assembly_arg =
-  let assembly_conv =
-    Arg.enum
-      [
-        ("scalar", Cnt_spice.Mna.Scalar); ("batched", Cnt_spice.Mna.Batched);
-      ]
-  in
-  let doc =
-    "CNFET stamp assembly: $(b,batched) (default) gathers all device bias \
-     points per Newton iteration and evaluates them through one batched \
-     kernel; $(b,scalar) evaluates each device inside the stamping loop.  \
-     Waveforms are byte-identical in either mode.  See docs/ASSEMBLY.md."
-  in
-  Arg.(
-    value
-    & opt (some assembly_conv) None
-    & info [ "assembly" ] ~docv:"MODE" ~doc ~env:(Cmd.Env.info "CNT_ASSEMBLY"))
-
 let gmin_arg =
   let doc = "Target minimum node-to-ground conductance, siemens." in
   Arg.(value & opt float 1e-12 & info [ "gmin" ] ~docv:"G" ~doc)
@@ -140,10 +122,9 @@ let model_arg =
     & opt (some string) None
     & info [ "model" ] ~docv:"BACKEND" ~doc ~env:(Cmd.Env.info "CNT_MODEL"))
 
-let make solver ordering assembly jobs gmin tol max_iter no_homotopy
-    gmin_start gmin_steps source_steps cache deadline model =
-  Cnt_spice.Engine.config ~backend:solver ?ordering ?assembly ?jobs ~gmin ~tol
-    ~max_iter
+let make solver ordering jobs gmin tol max_iter no_homotopy gmin_start
+    gmin_steps source_steps cache deadline model =
+  Cnt_spice.Engine.config ~backend:solver ?ordering ?jobs ~gmin ~tol ~max_iter
     ~homotopy:
       (if no_homotopy then Cnt_spice.Homotopy.plain_only
        else
@@ -157,7 +138,7 @@ let make solver ordering assembly jobs gmin tol max_iter no_homotopy
 
 let term_with model_term =
   Term.(
-    const make $ solver_arg $ ordering_arg $ assembly_arg $ Cli_jobs.arg
+    const make $ solver_arg $ ordering_arg $ Cli_jobs.arg
     $ gmin_arg $ tol_arg $ max_iter_arg $ no_homotopy_arg $ gmin_start_arg
     $ gmin_steps_arg $ source_steps_arg $ cache_arg $ deadline_arg
     $ model_term)

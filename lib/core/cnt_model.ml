@@ -300,11 +300,11 @@ let stencil_ws t =
    vds-dv) are built at the cache-quantised drain bias exactly as
    [eval_batch] does, so the cache composes identically in both
    directions: batched assembly populates and hits the same per-slot
-   store as scalar assembly, key for key.
+   store as scalar calls, key for key.
 
-   [fault_i0] reproduces the scalar assembly's [Fault.Nan_eval] site:
-   the bias-point current becomes NaN {e without} evaluating the model
-   there (no counter tick, no cache insertion), while the four
+   [fault_i0] is the [Fault.Nan_eval] injection site: the bias-point
+   current becomes NaN {e without} evaluating the model there (no
+   counter tick, no cache insertion), while the four
    derivative points still evaluate — [Fault.fires] is stateless, so
    hoisting the decision out of the assembly loop cannot change it. *)
 let eval_stencil ?(dv = 1e-4) ?ws t ~fault_i0 ~vgs ~vds ~i0 ~gm ~gds ~k =

@@ -145,10 +145,10 @@ val eval_stencil :
     five point evaluations.  With [ws] the plans reuse the workspace's
     storage ({!Scv_solver.replan}) instead of allocating.  Each value
     is {e bitwise-equal} to the scalar calls under any cache
-    configuration, and cache entries are shared key-for-key with the
-    scalar path (pinned by [test/test_assembly.ml]).  [fault_i0]
-    reproduces the scalar assembly's [Fault.Nan_eval] behaviour: the
-    bias-point current is NaN and that point is not evaluated, while
-    the derivative points still are. *)
+    configuration (pinned per backend by [test/test_models.ml]), and
+    cache entries are shared key-for-key with scalar calls.
+    [fault_i0] is the [Fault.Nan_eval] injection site: the bias-point
+    current is NaN and that point is not evaluated, while the
+    derivative points still are. *)
 
 val pp : Format.formatter -> t -> unit

@@ -339,7 +339,7 @@ let of_vs ?(card = []) m =
       (fun () ->
         (* the VS evaluation is closed-form with no per-drain-bias plan
            to hoist, so the batched stencil is exactly the five scalar
-           calls — bitwise equality with scalar assembly is free *)
+           calls — bitwise equality with them is free *)
         fun ~fault_i0 ~vgs ~vds ~i0 ~gm ~gds ~k ->
           let i0v =
             if fault_i0 then Float.nan else Vs_model.ids m ~vgs ~vds

@@ -35,8 +35,8 @@ type stencil =
     central-difference [gm]/[gds].  Must be {e bitwise-equal} to the
     corresponding scalar {!ids}/{!gm}/{!gds} calls under any cache
     configuration.  [fault_i0] makes the bias-point current NaN without
-    evaluating the model there (the scalar assembly's [Fault.Nan_eval]
-    site); the derivative points still evaluate.  A stencil closure
+    evaluating the model there (the [Fault.Nan_eval] injection site);
+    the derivative points still evaluate.  A stencil closure
     owns its scratch state: keep one per device per cloned system,
     never share across concurrently solving domains. *)
 

@@ -215,8 +215,8 @@ let solve_on_interval t ~qt ~vds ~lo ~hi poly =
       }
 
 (* [solve_on_interval] for the plan path: the same counters, the same
-   root extraction, filter, clamp and fallback program (bitwise — the
-   assembly equivalence suite pins plan solves against scalar ones),
+   root extraction, filter, clamp and fallback program (bitwise —
+   test/test_assembly.ml pins plan solves against scalar ones),
    but the roots land in the caller's scratch and only the voltage
    comes back, keeping the per-point solve off the allocator. *)
 let solve_on_interval_vsc t ~qt ~vds ~lo ~hi ~rbuf poly =

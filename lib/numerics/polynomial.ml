@@ -375,7 +375,7 @@ let real_roots_trimmed_into p buf =
     | 4 -> roots_cubic_into p.(3) p.(2) p.(1) p.(0) buf
     | _ ->
         invalid_arg
-          "Polynomial.real_roots_closed_form: degree exceeds 3 (use durand_kerner)"
+          "Polynomial.real_roots_closed_form: degree exceeds 3"
   in
   for i = 0 to nraw - 1 do
     buf.(i) <- polish p buf.(i)
@@ -399,88 +399,9 @@ let real_roots_trimmed p =
     | 4 -> roots_cubic p.(3) p.(2) p.(1) p.(0)
     | _ ->
         invalid_arg
-          "Polynomial.real_roots_closed_form: degree exceeds 3 (use durand_kerner)"
+          "Polynomial.real_roots_closed_form: degree exceeds 3"
   in
   List.sort compare (List.map (polish p) raw)
 
 (* Real roots for degree <= 3, closed form, ascending, Newton-polished. *)
 let real_roots_closed_form p = real_roots_trimmed (normalise p)
-
-(* ------------------------------------------------------------------ *)
-(* General roots: Durand-Kerner simultaneous iteration                 *)
-(* ------------------------------------------------------------------ *)
-
-let durand_kerner ?(tol = 1e-13) ?(max_iter = 500) p =
-  let p = normalise p in
-  let n = Array.length p - 1 in
-  if n < 1 then [||]
-  else begin
-    (* monic coefficients *)
-    let lead = p.(n) in
-    let m = Array.map (fun c -> c /. lead) p in
-    let eval_c z =
-      let acc = ref Complex.zero in
-      for i = n downto 0 do
-        acc := Complex.add (Complex.mul !acc z) { Complex.re = m.(i); im = 0.0 }
-      done;
-      !acc
-    in
-    (* initial guesses on a circle of radius ~ coefficient bound *)
-    let radius =
-      1.0
-      +. Array.fold_left (fun acc c -> Float.max acc (Float.abs c)) 0.0
-           (Array.sub m 0 n)
-    in
-    let roots =
-      Array.init n (fun i ->
-          let theta =
-            (2.0 *. Float.pi *. float_of_int i /. float_of_int n) +. 0.4
-          in
-          { Complex.re = radius *. cos theta; im = radius *. sin theta })
-    in
-    let converged = ref false in
-    let iter = ref 0 in
-    while (not !converged) && !iter < max_iter do
-      incr iter;
-      let max_delta = ref 0.0 in
-      for i = 0 to n - 1 do
-        let zi = roots.(i) in
-        let denom = ref Complex.one in
-        for j = 0 to n - 1 do
-          if j <> i then denom := Complex.mul !denom (Complex.sub zi roots.(j))
-        done;
-        let delta = Complex.div (eval_c zi) !denom in
-        roots.(i) <- Complex.sub zi delta;
-        max_delta := Float.max !max_delta (Complex.norm delta)
-      done;
-      if !max_delta <= tol then converged := true
-    done;
-    roots
-  end
-
-(* Real roots of any polynomial: Durand-Kerner filtered to (nearly)
-   real values, each polished by Newton. *)
-let real_roots ?(imag_tol = 1e-8) p =
-  let p = normalise p in
-  if Array.length p <= 4 then real_roots_closed_form p
-  else begin
-    let zs = durand_kerner p in
-    let candidates =
-      Array.to_list zs
-      |> List.filter_map (fun z ->
-             if
-               Float.abs z.Complex.im
-               <= imag_tol *. Float.max 1.0 (Complex.norm z)
-             then Some (polish p (polish p z.Complex.re))
-             else None)
-    in
-    (* merge duplicates produced by conjugate pairs collapsing *)
-    let sorted = List.sort compare candidates in
-    let rec dedup = function
-      | a :: b :: rest when Special.approx_equal ~atol:1e-10 ~rtol:1e-8 a b ->
-          dedup (a :: rest)
-      | a :: rest -> a :: dedup rest
-      | [] -> []
-    in
-    dedup sorted
-  end

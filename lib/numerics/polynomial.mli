@@ -94,10 +94,3 @@ val real_roots_trimmed_into : t -> float array -> int
     deduplication rules, so the values written are bitwise the
     elements {!real_roots_trimmed} would return — this is the
     allocation-free form solver inner loops use. *)
-
-val durand_kerner : ?tol:float -> ?max_iter:int -> t -> Complex.t array
-(** All complex roots by Durand-Kerner simultaneous iteration. *)
-
-val real_roots : ?imag_tol:float -> t -> float list
-(** Real roots of a polynomial of any degree: closed form when degree
-    is at most 3, otherwise Durand-Kerner filtered to real values. *)

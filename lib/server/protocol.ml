@@ -59,7 +59,6 @@ let config_to_json (c : Engine.config) =
         opt
           (fun o -> Json.Str (Cnt_numerics.Linear_solver.ordering_name o))
           c.ordering );
-      ("assembly", opt (fun a -> Json.Str (Mna.assembly_name a)) c.assembly);
       ("jobs", opt (fun j -> Json.Num (float_of_int j)) c.jobs);
       ("gmin", Json.Num c.gmin);
       ("tol", Json.Num c.tol);
@@ -93,13 +92,35 @@ let get name conv j fallback =
       | Some x -> x
       | None -> raise (Bad (Printf.sprintf "bad value for %S" name)))
 
+(* Reject any key of object [j] that [spelled] (the encoding of the
+   same object) does not carry, so a typo or a retired field fails
+   loudly instead of silently running on the base value. *)
+let reject_unknown ?within ~spelled j =
+  match (spelled, j) with
+  | Json.Obj known, Json.Obj fields ->
+      List.iter
+        (fun (k, _) ->
+          if not (List.mem_assoc k known) then
+            raise
+              (Bad
+                 (match within with
+                 | None -> Printf.sprintf "unknown field %S" k
+                 | Some w -> Printf.sprintf "unknown field %S in %S" k w)))
+        fields
+  | _ -> ()
+
 let config_of_json ~(base : Engine.config) j =
   try
+    let spelled = config_to_json base in
+    reject_unknown ~spelled j;
     let hbase = base.homotopy in
     let homotopy =
       match Json.member "homotopy" j with
       | None | Some Json.Null -> hbase
       | Some h ->
+          Option.iter
+            (fun spelled -> reject_unknown ~within:"homotopy" ~spelled h)
+            (Json.member "homotopy" spelled);
           {
             Homotopy.damped = get "damped" Json.to_bool h hbase.damped;
             gmin_stepping =
@@ -125,12 +146,6 @@ let config_of_json ~(base : Engine.config) j =
                   Option.map Option.some
                     (Cnt_numerics.Linear_solver.ordering_of_string s)))
             j base.ordering;
-        assembly =
-          get "assembly"
-            (fun v ->
-              Option.bind (Json.to_str v) (fun s ->
-                  Option.map Option.some (Mna.assembly_of_string s)))
-            j base.assembly;
         jobs = get "jobs" (fun v -> Option.map Option.some (Json.to_int v)) j
             base.jobs;
         gmin = get "gmin" Json.to_float j base.gmin;

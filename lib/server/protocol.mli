@@ -53,8 +53,8 @@ val config_to_json : Engine.config -> Json.t
 
 val config_of_json :
   base:Engine.config -> Json.t -> (Engine.config, string) result
-(** Decode onto [base]; unknown fields are ignored (forward
-    compatibility), malformed values are an error. *)
+(** Decode onto [base]; unknown fields (top level or inside
+    [homotopy]) and malformed values are an error naming the field. *)
 
 (** {1 Tables on the wire} *)
 

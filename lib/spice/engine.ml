@@ -19,7 +19,6 @@ type config = {
   backend : Cnt_numerics.Linear_solver.backend;
   ordering : Cnt_numerics.Linear_solver.ordering option;
       (* None: Linear_solver.default_ordering () *)
-  assembly : Mna.assembly option; (* None: Mna.default_assembly () *)
   jobs : int option; (* None: Cnt_par.Pool.default_jobs () *)
   gmin : float;
   tol : float;
@@ -39,7 +38,6 @@ let default_config =
   {
     backend = Cnt_numerics.Linear_solver.Auto;
     ordering = None;
-    assembly = None;
     jobs = None;
     gmin = 1e-12;
     tol = 1e-9;
@@ -53,12 +51,11 @@ let default_config =
 (* The one way to build a config without spelling the whole record:
    every knob defaults to its [default_config] value, so adding a field
    never breaks builder call sites. *)
-let config ?backend ?ordering ?assembly ?jobs ?gmin ?tol ?max_iter ?homotopy
-    ?cache ?deadline ?model () =
+let config ?backend ?ordering ?jobs ?gmin ?tol ?max_iter ?homotopy ?cache
+    ?deadline ?model () =
   {
     backend = Option.value backend ~default:default_config.backend;
     ordering;
-    assembly;
     jobs;
     gmin = Option.value gmin ~default:default_config.gmin;
     tol = Option.value tol ~default:default_config.tol;
@@ -120,8 +117,7 @@ let op_table ?(config = default_config) circuit prints =
   let r =
     Dc.operating_point ~gmin:config.gmin ~tol:config.tol
       ~max_iter:config.max_iter ~policy:config.homotopy
-      ~backend:config.backend ?ordering:config.ordering
-      ?assembly:config.assembly circuit
+      ~backend:config.backend ?ordering:config.ordering circuit
   in
   let prints = default_prints circuit prints in
   let columns = Array.of_list (List.map print_label prints) in
@@ -148,8 +144,8 @@ let dc_table ?(config = default_config) circuit prints ~source ~start ~stop
     try
       Dc.sweep ~gmin:config.gmin ~tol:config.tol ~max_iter:config.max_iter
         ~policy:config.homotopy ~backend:config.backend
-        ?ordering:config.ordering ?assembly:config.assembly ?jobs:config.jobs
-        circuit ~source ~start ~stop ~step
+        ?ordering:config.ordering ?jobs:config.jobs circuit ~source ~start
+        ~stop ~step
     with Invalid_argument msg -> raise (Dc.Analysis_error msg)
   in
   let prints = default_prints circuit prints in
@@ -181,8 +177,7 @@ let ac_table ?(config = default_config) circuit prints ~per_decade ~fstart
   let freqs = Ac.decade_frequencies ~start:fstart ~stop:fstop ~per_decade in
   let r =
     Ac.run ~gmin:config.gmin ~tol:config.tol ~max_iter:config.max_iter
-      ~policy:config.homotopy ?ordering:config.ordering
-      ?assembly:config.assembly circuit ~freqs
+      ~policy:config.homotopy ?ordering:config.ordering circuit ~freqs
   in
   let prints = default_prints circuit prints in
   let columns =
@@ -225,8 +220,7 @@ let tran_table ?(config = default_config) circuit prints ~tstep ~tstop =
   with_progress ~analysis:"tran" ~label @@ fun () ->
   let r =
     Transient.run ~gmin:config.gmin ~tol:config.tol ~policy:config.homotopy
-      ~backend:config.backend ?ordering:config.ordering
-      ?assembly:config.assembly circuit ~tstep ~tstop
+      ~backend:config.backend ?ordering:config.ordering circuit ~tstep ~tstop
   in
   let prints = default_prints circuit prints in
   let columns = Array.of_list ("time" :: List.map print_label prints) in
@@ -301,7 +295,7 @@ let apply_model_override config circuit =
           try Circuit.remodel circuit ~backend
           with Circuit.Bad_circuit msg -> raise (Dc.Analysis_error msg)))
 
-(* Raising core shared by the result and shim entry points. *)
+(* Raising core of {!run_deck_result}. *)
 let run_deck_exn ~config (deck : Parser.deck) =
   let circuit = apply_model_override config deck.Parser.circuit in
   apply_cache_config config circuit;
@@ -338,19 +332,6 @@ let run_deck_result ?(config = default_config) deck =
       Error (Diag.Bad_deck msg)
   | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
   | exception e -> Error (Diag.Internal (Printexc.to_string e))
-
-(* Back-compat shim: the historical raising interface, now a thin layer
-   over [config].  Prefer {!run_deck_result}. *)
-let run_deck ?backend ?jobs deck =
-  let config =
-    {
-      default_config with
-      backend =
-        (match backend with Some b -> b | None -> default_config.backend);
-      jobs;
-    }
-  in
-  run_deck_exn ~config deck
 
 let pp_table ?(max_rows = max_int) ?(stats = false) fmt t =
   Format.fprintf fmt "* %s@." t.analysis_label;
@@ -389,12 +370,6 @@ let config_manifest (c : config) =
              (match c.ordering with
              | Some o -> o
              | None -> Cnt_numerics.Linear_solver.default_ordering ())) );
-      ( "assembly",
-        Manifest.String
-          (Mna.assembly_name
-             (match c.assembly with
-             | Some a -> a
-             | None -> Mna.default_assembly ())) );
       ( "jobs",
         Manifest.Int
           (match c.jobs with

@@ -21,10 +21,6 @@ type config = {
       (** sparse fill-reducing ordering ([--ordering] / [CNT_ORDERING]);
           [None] means {!Cnt_numerics.Linear_solver.default_ordering}
           (natural).  Dense solves ignore it. *)
-  assembly : Mna.assembly option;
-      (** CNFET stamp assembly mode ([--assembly] / [CNT_ASSEMBLY]);
-          [None] means {!Mna.default_assembly} (batched).  Waveforms are
-          byte-identical in either mode — see [docs/ASSEMBLY.md]. *)
   jobs : int option;
       (** DC-sweep fan-out domains; [None] means
           [Cnt_par.Pool.default_jobs ()] ([CNT_JOBS] or 1).  Results
@@ -64,7 +60,6 @@ val default_config : config
 val config :
   ?backend:Cnt_numerics.Linear_solver.backend ->
   ?ordering:Cnt_numerics.Linear_solver.ordering ->
-  ?assembly:Mna.assembly ->
   ?jobs:int ->
   ?gmin:float ->
   ?tol:float ->
@@ -98,18 +93,6 @@ val run_deck_result :
     [Stack_overflow] still propagate).  {!Diag.exit_code} maps the
     error to the CLI exit contract. *)
 
-val run_deck :
-  ?backend:Cnt_numerics.Linear_solver.backend ->
-  ?jobs:int ->
-  Parser.deck ->
-  table list
-[@@deprecated "use run_deck_result (structured errors, full config)"]
-(** Raising shim over {!run_deck_result} with the historical
-    signature: [backend]/[jobs] override {!default_config} and errors
-    propagate as the underlying exceptions
-    ({!Diag.Convergence_failure}, [Analysis_error], ...).
-    @deprecated Use {!run_deck_result}. *)
-
 val pp_table : ?max_rows:int -> ?stats:bool -> Format.formatter -> table -> unit
 (** Pretty-print a table; [~stats:true] appends a solver-statistics
     footer. *)
@@ -123,7 +106,7 @@ val table_to_csv : table -> string
 
 val config_manifest : config -> Cnt_obs.Manifest.json
 (** The configuration {e as resolved}: [None] knobs (ordering,
-    assembly, jobs) render as the ambient default they will actually
+    jobs) render as the ambient default they will actually
     use, so two manifests differ exactly when the runs could. *)
 
 val table_manifest : table -> Cnt_obs.Manifest.json

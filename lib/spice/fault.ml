@@ -91,23 +91,36 @@ let to_string sp =
 (* Installation                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let env_spec =
-  lazy
-    (match Sys.getenv_opt "CNT_FAULT" with
-    | None | Some "" -> None
-    | Some s -> (
-        match parse s with
-        | Ok sp -> Some sp
-        | Error msg ->
-            Printf.eprintf "warning: ignoring %s\n%!" msg;
-            None))
+(* The CNT_FAULT spec, read on first use.  The first use can come from
+   several pool domains at once (a parallel DC sweep is often the first
+   Newton solve of a process), so the memo is an atomic cell rather
+   than a [lazy], whose concurrent forcing raises; the domain whose
+   store wins prints any parse warning, once. *)
+let env_cell : spec option option Atomic.t = Atomic.make None
+
+let env_spec () =
+  match Atomic.get env_cell with
+  | Some sp -> sp
+  | None ->
+      let parsed =
+        match Sys.getenv_opt "CNT_FAULT" with
+        | None | Some "" -> Ok None
+        | Some s -> Result.map Option.some (parse s)
+      in
+      let sp = Result.value parsed ~default:None in
+      if Atomic.compare_and_set env_cell None (Some sp) then begin
+        match parsed with
+        | Error msg -> Printf.eprintf "warning: ignoring %s\n%!" msg
+        | Ok _ -> ()
+      end;
+      sp
 
 (* [Some s] when a spec (possibly [None] = faults off) was installed
    programmatically, overriding the environment. *)
 let override : spec option option ref = ref None
 
 let current () =
-  match !override with Some s -> s | None -> Lazy.force env_spec
+  match !override with Some s -> s | None -> env_spec ()
 
 let install s = override := Some s
 

@@ -15,6 +15,13 @@
    solve in the backend's preallocated workspace.  The inner loop
    allocates no matrices.
 
+   CNFETs are lowered at compile time into a structure-of-arrays table,
+   and every refill stamps them in three passes: gather all bias points
+   from the solution vector into contiguous columns, evaluate them
+   through each device's workspace-backed
+   {!Cnt_core.Device_model.stencil}, and scatter the stamps back
+   through the recorded slot program.
+
    Unknown vector layout: node voltages first (one per non-ground
    node), then one branch current per voltage source or inductor.
    Equations: KCL rows (currents leaving the node sum to the injected
@@ -39,51 +46,6 @@ let h_iters = Obs.histogram "mna.newton_iters_per_solve"
    counters tick here from the solver instance's bookkeeping). *)
 let c_fill_natural = Obs.counter "ordering.fill_natural"
 let c_fill_applied = Obs.counter "ordering.fill_applied"
-
-(* ------------------------------------------------------------------ *)
-(* Assembly modes                                                      *)
-(* ------------------------------------------------------------------ *)
-
-(* How CNFET stamps are produced each Newton iteration.
-
-   [Scalar] evaluates each device in place inside the stamping loop
-   (the historical path).  [Batched] lowers the circuit's CNFETs into a
-   structure-of-arrays table at compile time and splits every refill
-   into three passes — gather all bias points from the solution vector
-   into contiguous columns, evaluate them through each device's
-   workspace-backed {!Cnt_core.Device_model.stencil}, scatter the
-   stamps back through the recorded slot program.  Both modes are
-   the same floating-point program device for device, so all waveforms
-   and tables are byte-identical; [Batched] exists purely to make the
-   assembly phase cheap. *)
-type assembly =
-  | Scalar
-  | Batched
-
-let assembly_name = function Scalar -> "scalar" | Batched -> "batched"
-
-let assembly_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "scalar" -> Some Scalar
-  | "batched" -> Some Batched
-  | _ -> None
-
-let default_assembly_lazy =
-  lazy
-    (match Sys.getenv_opt "CNT_ASSEMBLY" with
-    | None | Some "" -> Batched
-    | Some s -> (
-        match assembly_of_string s with
-        | Some a -> a
-        | None ->
-            Printf.eprintf
-              "warning: CNT_ASSEMBLY: unknown assembly mode %S (expected \
-               scalar | batched); using batched\n\
-               %!"
-              s;
-            Batched))
-
-let default_assembly () = Lazy.force default_assembly_lazy
 
 (* ------------------------------------------------------------------ *)
 (* Solver statistics                                                   *)
@@ -218,7 +180,10 @@ type cnfet_table = {
   ct_ws : Cnt_core.Device_model.stencil array;
 }
 
-let fvec n = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n
+let fvec n =
+  let v = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n in
+  Bigarray.Array1.fill v 0.0;
+  v
 
 type compiled = {
   circuit : Circuit.t;
@@ -234,8 +199,7 @@ type compiled = {
   program : int array; (* backend slots in stamp emission order *)
   rhs : float array; (* refilled in place each iteration *)
   stats : stats;
-  assembly : assembly;
-  table : cnfet_table option; (* Some iff batched and the circuit has CNFETs *)
+  table : cnfet_table; (* zero rows when the circuit has no CNFETs *)
   (* kept so [clone] can allocate an identical solver workspace *)
   sym_backend : Linear_solver.backend;
   sym_ordering : Linear_solver.ordering;
@@ -243,7 +207,6 @@ type compiled = {
 }
 
 let size c = c.n_nodes + c.n_branches
-let assembly_mode c = c.assembly
 
 let circuit c = c.circuit
 let node_count c = c.n_nodes
@@ -329,14 +292,13 @@ let capacitors c =
    pass replays one-for-one.  Any structural change must keep the two
    passes emitting identical sequences.
 
-   [table], when provided, carries this iteration's batched CNFET
-   kernel outputs: the Dcnfet branch reads row [ti] of the output
-   columns instead of evaluating the model in place.  The bias voltages
-   are recomputed here with the same expressions the gather pass used,
-   so the [ieq] linearisation and the stamp sequence are identical to
-   the scalar mode's. *)
-let stamp_system ?table ~stats ~devices ~n_nodes ~add_j ~add_b ~eval_wave ~caps
-    ~inds ~gmin x =
+   [table] carries this iteration's batched CNFET kernel outputs (the
+   scatter pass): the Dcnfet branch reads row [ti] of the output
+   columns.  The bias voltages are recomputed here with the same
+   expressions the gather pass used for the [ieq] linearisation.  The
+   symbolic pass hands in a zeroed table, so it evaluates no device. *)
+let stamp_system ~table ~devices ~n_nodes ~add_j ~add_b ~eval_wave ~caps ~inds
+    ~gmin x =
   let v_of i = if i < 0 then 0.0 else x.(i) in
   let stamp_conductance a b g =
     add_j a a g;
@@ -384,25 +346,11 @@ let stamp_system ?table ~stats ~devices ~n_nodes ~add_j ~add_b ~eval_wave ~caps
           (* SPICE convention: positive current flows p -> m through
              the source, i.e. it is extracted from p and injected at m *)
           stamp_current p m (eval_wave name wave)
-      | Dcnfet { d; g; s; model; cgs_i; cgd_i; ti } ->
+      | Dcnfet { d; g; s; cgs_i; cgd_i; ti; _ } ->
           let vgs = v_of g -. v_of s and vds = v_of d -. v_of s in
-          let i0, gm, gds =
-            match table with
-            | Some tb ->
-                ( Bigarray.Array1.unsafe_get tb.ct_i0 ti,
-                  Bigarray.Array1.unsafe_get tb.ct_gm ti,
-                  Bigarray.Array1.unsafe_get tb.ct_gds ti )
-            | None ->
-                let i0 =
-                  if Fault.fires Fault.Nan_eval then Float.nan
-                  else Cnt_core.Device_model.ids model ~vgs ~vds
-                in
-                let gm = Cnt_core.Device_model.gm model ~vgs ~vds in
-                let gds = Cnt_core.Device_model.gds model ~vgs ~vds in
-                (i0, gm, gds)
-          in
-          stats.device_evals <- stats.device_evals + 1;
-          Obs.incr c_device_evals;
+          let i0 = Bigarray.Array1.unsafe_get table.ct_i0 ti
+          and gm = Bigarray.Array1.unsafe_get table.ct_gm ti
+          and gds = Bigarray.Array1.unsafe_get table.ct_gds ti in
           (* linearised drain current i = ieq + gm*vgs + gds*vds *)
           let ieq = i0 -. (gm *. vgs) -. (gds *. vds) in
           add_j d g gm;
@@ -422,16 +370,58 @@ let stamp_system ?table ~stats ~devices ~n_nodes ~add_j ~add_b ~eval_wave ~caps
 (* Compilation: symbolic pass                                          *)
 (* ------------------------------------------------------------------ *)
 
-let compile_uncached ?(backend = Linear_solver.Auto) ?ordering ?assembly
-    circuit =
+(* Lower the [nt] CNFETs of [devices] into the structure-of-arrays
+   table: float columns zeroed, no stencil workspaces yet ([ct_ws]
+   empty; {!with_scratch} adds them). *)
+let cnfet_table devices nt =
+  let ct_d = Array.make nt (-1)
+  and ct_g = Array.make nt (-1)
+  and ct_s = Array.make nt (-1) in
+  let slots = Array.make nt None in
+  Array.iter
+    (function
+      | Dcnfet { d; g; s; model; ti; _ } ->
+          ct_d.(ti) <- d;
+          ct_g.(ti) <- g;
+          ct_s.(ti) <- s;
+          slots.(ti) <- Some model
+      | _ -> ())
+    devices;
+  let ct_models = Array.map (function Some m -> m | None -> assert false) slots in
+  {
+    ct_n = nt;
+    ct_d;
+    ct_g;
+    ct_s;
+    ct_models;
+    ct_vgs = fvec nt;
+    ct_vds = fvec nt;
+    ct_i0 = fvec nt;
+    ct_gm = fvec nt;
+    ct_gds = fvec nt;
+    ct_ws = [||];
+  }
+
+(* Fresh per-workspace scratch over [tb]'s node and model columns, which
+   stay shared: new float columns and one stencil workspace per
+   device. *)
+let with_scratch tb =
+  {
+    tb with
+    ct_vgs = fvec tb.ct_n;
+    ct_vds = fvec tb.ct_n;
+    ct_i0 = fvec tb.ct_n;
+    ct_gm = fvec tb.ct_n;
+    ct_gds = fvec tb.ct_n;
+    ct_ws = Array.map Cnt_core.Device_model.stencil tb.ct_models;
+  }
+
+let compile_uncached ?(backend = Linear_solver.Auto) ?ordering circuit =
   Obs.span "mna.compile" @@ fun () ->
   let ordering =
     match ordering with
     | Some o -> o
     | None -> Linear_solver.default_ordering ()
-  in
-  let assembly =
-    match assembly with Some a -> a | None -> default_assembly ()
   in
   let node_of_name = Hashtbl.create 16 in
   let names = Circuit.nodes circuit in
@@ -505,6 +495,11 @@ let compile_uncached ?(backend = Linear_solver.Auto) ?ordering ?assembly
   let n = n_nodes + !n_branches in
   let zero_caps = Array.make !n_caps { geq = 0.0; ieq = 0.0 } in
   let zero_inds = Array.make !n_inds { zeq = 0.0; veq = 0.0 } in
+  (* the symbolic pass stamps from the table's zeroed output columns, so
+     it evaluates no device; the stencil workspaces are only added once
+     the solver is built, after the symbolic factorisation's scratch is
+     dead, which keeps peak memory down on large circuits *)
+  let table = cnfet_table devices !n_cnfets in
   (* symbolic pass: record the (row, col) sequence the stamps emit *)
   let recorded = ref [] and n_recorded = ref 0 in
   let record i j _v =
@@ -513,8 +508,7 @@ let compile_uncached ?(backend = Linear_solver.Auto) ?ordering ?assembly
       incr n_recorded
     end
   in
-  let scratch_stats = fresh_stats ~backend:"" ~unknowns:n ~nonzeros:0 in
-  stamp_system ~stats:scratch_stats ~devices ~n_nodes ~add_j:record
+  stamp_system ~table ~devices ~n_nodes ~add_j:record
     ~add_b:(fun _ _ -> ())
     ~eval_wave:(fun _ _ -> 0.0)
     ~caps:zero_caps ~inds:zero_inds ~gmin:0.0 (Array.make n 0.0);
@@ -527,45 +521,6 @@ let compile_uncached ?(backend = Linear_solver.Auto) ?ordering ?assembly
   Obs.incr ~by:solver.Linear_solver.fill_applied c_fill_applied;
   let program =
     Array.map (fun (i, j) -> solver.Linear_solver.slot i j) pattern
-  in
-  (* lower the CNFETs into the structure-of-arrays table; the symbolic
-     pass above always runs with [table:None], so the recorded pattern
-     and slot program are identical in both assembly modes *)
-  let table =
-    if assembly = Scalar || !n_cnfets = 0 then None
-    else begin
-      let nt = !n_cnfets in
-      let ct_d = Array.make nt (-1)
-      and ct_g = Array.make nt (-1)
-      and ct_s = Array.make nt (-1) in
-      let slots = Array.make nt None in
-      Array.iter
-        (function
-          | Dcnfet { d; g; s; model; ti; _ } ->
-              ct_d.(ti) <- d;
-              ct_g.(ti) <- g;
-              ct_s.(ti) <- s;
-              slots.(ti) <- Some model
-          | _ -> ())
-        devices;
-      let ct_models =
-        Array.map (function Some m -> m | None -> assert false) slots
-      in
-      Some
-        {
-          ct_n = nt;
-          ct_d;
-          ct_g;
-          ct_s;
-          ct_models;
-          ct_vgs = fvec nt;
-          ct_vds = fvec nt;
-          ct_i0 = fvec nt;
-          ct_gm = fvec nt;
-          ct_gds = fvec nt;
-          ct_ws = Array.map Cnt_core.Device_model.stencil ct_models;
-        }
-    end
   in
   {
     circuit;
@@ -583,8 +538,7 @@ let compile_uncached ?(backend = Linear_solver.Auto) ?ordering ?assembly
     stats =
       fresh_stats ~backend:solver.Linear_solver.backend_name ~unknowns:n
         ~nonzeros:solver.Linear_solver.nnz;
-    assembly;
-    table;
+    table = with_scratch table;
     sym_backend = backend;
     sym_ordering = ordering;
     sym_pattern = pattern;
@@ -612,21 +566,7 @@ let clone c =
     stats =
       fresh_stats ~backend:solver.Linear_solver.backend_name ~unknowns:n
         ~nonzeros:solver.Linear_solver.nnz;
-    (* fresh float columns: the bias/output slots are per-workspace
-       scratch; node indices and models are immutable and stay shared *)
-    table =
-      Option.map
-        (fun tb ->
-          {
-            tb with
-            ct_vgs = fvec tb.ct_n;
-            ct_vds = fvec tb.ct_n;
-            ct_i0 = fvec tb.ct_n;
-            ct_gm = fvec tb.ct_n;
-            ct_gds = fvec tb.ct_n;
-            ct_ws = Array.map Cnt_core.Device_model.stencil tb.ct_models;
-          })
-        c.table;
+    table = with_scratch c.table;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -658,7 +598,6 @@ type compile_cache_entry = {
   cc_circuit : Circuit.t;
   cc_backend : Linear_solver.backend;
   cc_ordering : Linear_solver.ordering;
-  cc_assembly : assembly;
   cc_template : compiled;
 }
 
@@ -683,14 +622,11 @@ let disable_compile_cache () =
 
 let compile_cache_stats () = (!compile_cache_hits, !compile_cache_misses)
 
-let compile ?(backend = Linear_solver.Auto) ?ordering ?assembly circuit =
-  if !compile_cache_max = 0 then compile_uncached ~backend ?ordering ?assembly circuit
+let compile ?(backend = Linear_solver.Auto) ?ordering circuit =
+  if !compile_cache_max = 0 then compile_uncached ~backend ?ordering circuit
   else begin
     let ordering =
       match ordering with Some o -> o | None -> Linear_solver.default_ordering ()
-    in
-    let assembly =
-      match assembly with Some a -> a | None -> default_assembly ()
     in
     Mutex.lock compile_cache_mutex;
     Fun.protect
@@ -700,7 +636,7 @@ let compile ?(backend = Linear_solver.Auto) ?ordering ?assembly circuit =
           List.find_opt
             (fun e ->
               e.cc_circuit == circuit && e.cc_backend = backend
-              && e.cc_ordering = ordering && e.cc_assembly = assembly)
+              && e.cc_ordering = ordering)
             !compile_cache
         with
         | Some e ->
@@ -710,15 +646,12 @@ let compile ?(backend = Linear_solver.Auto) ?ordering ?assembly circuit =
         | None ->
             incr compile_cache_misses;
             Obs.incr c_compile_cache_misses;
-            let template =
-              compile_uncached ~backend ~ordering ~assembly circuit
-            in
+            let template = compile_uncached ~backend ~ordering circuit in
             let entry =
               {
                 cc_circuit = circuit;
                 cc_backend = backend;
                 cc_ordering = ordering;
-                cc_assembly = assembly;
                 cc_template = template;
               }
             in
@@ -737,20 +670,20 @@ let compile ?(backend = Linear_solver.Auto) ?ordering ?assembly circuit =
 (* Overwrite matrix values and rhs in place by replaying the recorded
    slot program.  Allocation-free apart from the two small closures.
 
-   In batched mode the CNFET work runs first as two table passes —
-   gather every device's (vgs, vds) from the solution vector into the
-   contiguous bias columns, then evaluate all stencils through the
-   plan-sharing batched kernel — and the stamp replay (the scatter
-   pass) reads the output columns instead of calling the model.  The
-   [Fault.Nan_eval] decision is hoisted out of the device loop:
-   [Fault.fires] is a pure function of the installed spec and the
-   domain-local rung/point context, none of which change within one
-   refill, so one decision for all devices equals the scalar mode's
-   per-device decisions. *)
+   The CNFET work runs first as two table passes — gather every
+   device's (vgs, vds) from the solution vector into the contiguous
+   bias columns, then evaluate all stencils through the plan-sharing
+   batched kernel — and the stamp replay (the scatter pass) reads the
+   output columns.  The [Fault.Nan_eval] decision is hoisted out of the
+   device loop: [Fault.fires] is a pure function of the installed spec
+   and the domain-local rung/point context, none of which change within
+   one refill, so one decision serves every device.  Circuits without
+   CNFETs skip the three passes and their spans. *)
 let refill c ~eval_wave ~caps ~inds ~gmin x =
-  (match c.table with
-  | None -> ()
-  | Some tb ->
+  let tb = c.table in
+  let span_s =
+    if tb.ct_n = 0 then None
+    else begin
       let span_g = Obs.start_span "assemble.gather" in
       for k = 0 to tb.ct_n - 1 do
         let d = tb.ct_d.(k) and g = tb.ct_g.(k) and s = tb.ct_s.(k) in
@@ -769,11 +702,11 @@ let refill c ~eval_wave ~caps ~inds ~gmin x =
           ~vds:(Bigarray.Array1.unsafe_get tb.ct_vds k)
           ~i0:tb.ct_i0 ~gm:tb.ct_gm ~gds:tb.ct_gds ~k
       done;
-      Obs.end_span span_e);
-  let span_s =
-    match c.table with
-    | Some _ -> Some (Obs.start_span "assemble.scatter")
-    | None -> None
+      c.stats.device_evals <- c.stats.device_evals + tb.ct_n;
+      Obs.incr ~by:tb.ct_n c_device_evals;
+      Obs.end_span span_e;
+      Some (Obs.start_span "assemble.scatter")
+    end
   in
   c.solver.Linear_solver.clear ();
   Array.fill c.rhs 0 (Array.length c.rhs) 0.0;
@@ -787,8 +720,8 @@ let refill c ~eval_wave ~caps ~inds ~gmin x =
     end
   in
   let add_b i v = if i >= 0 then c.rhs.(i) <- c.rhs.(i) +. v in
-  stamp_system ?table:c.table ~stats:c.stats ~devices:c.devices
-    ~n_nodes:c.n_nodes ~add_j ~add_b ~eval_wave ~caps ~inds ~gmin x;
+  stamp_system ~table:tb ~devices:c.devices ~n_nodes:c.n_nodes ~add_j ~add_b
+    ~eval_wave ~caps ~inds ~gmin x;
   Option.iter Obs.end_span span_s;
   if !cursor <> Array.length program then
     invalid_arg "Mna.refill: stamp sequence diverged from compiled program"

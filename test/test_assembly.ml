@@ -1,30 +1,19 @@
-(* Batched-assembly equivalence and ordering tests.
+(* Batched-assembly oracle and ordering tests.
 
-   The PR-6 hard invariant: every waveform and table is byte-identical
-   between scalar and batched MNA assembly, at any job count and any
-   cache setting.  These tests compare solution vectors through
-   [Int64.bits_of_float] — no tolerances anywhere — across DC operating
-   points, DC sweeps, transients and AC runs, plus the supporting
-   bitwise pins (plan replanning, allocation-free shift) and the AMD
-   fill-reducing ordering properties. *)
+   MNA stamps CNFETs only through the batched gather/eval/scatter
+   pipeline.  The scalar per-device path survives here as a test
+   oracle ({!Kcl_oracle}): at every solution the batched runs return —
+   operating points, DC sweeps at jobs 1 and 4, AMD ordering, the eval
+   cache on, the bias point AC linearises around — each CNFET is
+   evaluated with scalar [Device_model.ids] and KCL must close at every
+   node, and one Newton step must solve the scalar linearisation.  Also
+   here: the supporting bitwise pins (plan replanning, allocation-free
+   shift) and the AMD fill-reducing ordering properties. *)
 
 open Cnt_numerics
 open Cnt_spice
 
 let bits = Int64.bits_of_float
-
-let check_bits_arr name (a : float array) (b : float array) =
-  Alcotest.(check int) (name ^ ": length") (Array.length a) (Array.length b);
-  Array.iteri
-    (fun i x ->
-      if not (Int64.equal (bits x) (bits b.(i))) then
-        Alcotest.failf "%s: element %d differs bitwise: %h vs %h" name i x
-          b.(i))
-    a
-
-let check_bits_mat name (a : float array array) (b : float array array) =
-  Alcotest.(check int) (name ^ ": rows") (Array.length a) (Array.length b);
-  Array.iteri (fun i r -> check_bits_arr (Printf.sprintf "%s row %d" name i) r b.(i)) a
 
 (* One fitted model pair shared by every circuit in this file; cache
    configuration is mutated per test and restored to disabled. *)
@@ -53,77 +42,30 @@ let ring_circuit ~stages =
   Stdcells.bench fam ~stimuli:[] ~cells
 
 (* ------------------------------------------------------------------ *)
-(* Scalar vs batched, bitwise                                          *)
+(* Scalar oracle at batched solutions                                  *)
 (* ------------------------------------------------------------------ *)
 
-let test_op_equivalence () =
-  let c = inverter_circuit () in
-  let s = Dc.operating_point ~assembly:Mna.Scalar c in
-  let b = Dc.operating_point ~assembly:Mna.Batched c in
-  check_bits_arr "op solution" s.Dc.solution b.Dc.solution
+let test_op_kcl () =
+  List.iter
+    (fun (label, c) ->
+      let r = Dc.operating_point c in
+      Kcl_oracle.check_solution label r.Dc.compiled r.Dc.solution)
+    [ ("inverter op", inverter_circuit ()); ("ring-5 op", ring_circuit ~stages:5) ]
 
-let sweep_solutions (r : Dc.sweep_result) =
-  Array.map (fun (p : Dc.op_result) -> p.Dc.solution) r.Dc.points
-
-let test_dc_sweep_equivalence () =
+let test_dc_sweep_kcl () =
   let c = inverter_circuit () in
   List.iter
     (fun jobs ->
-      let s =
-        Dc.sweep ~assembly:Mna.Scalar ~jobs c ~source:"vin" ~start:0.0
-          ~stop:0.6 ~step:0.05
-      in
-      let b =
-        Dc.sweep ~assembly:Mna.Batched ~jobs c ~source:"vin" ~start:0.0
-          ~stop:0.6 ~step:0.05
-      in
-      check_bits_arr "sweep values" s.Dc.sweep_values b.Dc.sweep_values;
-      check_bits_mat
-        (Printf.sprintf "sweep solutions (jobs=%d)" jobs)
-        (sweep_solutions s) (sweep_solutions b))
+      let r = Dc.sweep ~jobs c ~source:"vin" ~start:0.0 ~stop:0.6 ~step:0.05 in
+      Array.iteri
+        (fun i (p : Dc.op_result) ->
+          Kcl_oracle.check_solution
+            (Printf.sprintf "sweep point %d (jobs=%d)" i jobs)
+            p.Dc.compiled p.Dc.solution)
+        r.Dc.points)
     [ 1; 4 ]
 
-let test_transient_equivalence () =
-  let c = ring_circuit ~stages:5 in
-  let s =
-    Transient.run ~assembly:Mna.Scalar c ~tstep:1e-12 ~tstop:2e-11
-  in
-  let b =
-    Transient.run ~assembly:Mna.Batched c ~tstep:1e-12 ~tstop:2e-11
-  in
-  check_bits_arr "times" s.Transient.times b.Transient.times;
-  check_bits_mat "transient solutions" s.Transient.solutions
-    b.Transient.solutions
-
-let test_transient_equivalence_sparse () =
-  let c = ring_circuit ~stages:5 in
-  let s =
-    Transient.run ~backend:Linear_solver.Sparse_backend ~assembly:Mna.Scalar c
-      ~tstep:1e-12 ~tstop:2e-11
-  in
-  let b =
-    Transient.run ~backend:Linear_solver.Sparse_backend ~assembly:Mna.Batched c
-      ~tstep:1e-12 ~tstop:2e-11
-  in
-  check_bits_mat "sparse transient solutions" s.Transient.solutions
-    b.Transient.solutions
-
-let complex_bits name (a : Complex.t array array) (b : Complex.t array array) =
-  Alcotest.(check int) (name ^ ": rows") (Array.length a) (Array.length b);
-  Array.iteri
-    (fun i row ->
-      Array.iteri
-        (fun j z ->
-          let w = b.(i).(j) in
-          if
-            not
-              (Int64.equal (bits z.Complex.re) (bits w.Complex.re)
-              && Int64.equal (bits z.Complex.im) (bits w.Complex.im))
-          then Alcotest.failf "%s: (%d,%d) differs bitwise" name i j)
-        row)
-    a
-
-let test_ac_equivalence () =
+let test_ac_bias_kcl () =
   let fam = Lazy.force fam in
   let c =
     Circuit.create
@@ -134,49 +76,60 @@ let test_ac_equivalence () =
         Circuit.cnfet "m1" ~drain:"d" ~gate:"g" ~source:"0" fam.Stdcells.n_model;
       ]
   in
-  let freqs = [| 1e3; 1e6; 1e9 |] in
-  let s = Ac.run ~assembly:Mna.Scalar c ~freqs in
-  let b = Ac.run ~assembly:Mna.Batched c ~freqs in
-  check_bits_arr "ac op" s.Ac.op.Dc.solution b.Ac.op.Dc.solution;
-  complex_bits "ac solutions" s.Ac.solutions b.Ac.solutions
+  let r = Ac.run c ~freqs:[| 1e3; 1e6; 1e9 |] in
+  Kcl_oracle.check_solution "ac bias point" r.Ac.compiled r.Ac.op.Dc.solution
 
-let test_equivalence_with_cache () =
-  (* the bias-point cache composes with batched assembly: entries are
-     shared key-for-key with the scalar path, so scalar and batched
-     stay bitwise-identical with the cache on (exact keys) as well *)
+let test_kcl_with_cache () =
+  (* the bias-point cache (exact keys) serves the batched stencils;
+     its hits must carry the same currents scalar calls compute *)
   with_cache { Cnt_core.Eval_cache.size = 4096; quantum = 0.0 } @@ fun () ->
   let c = inverter_circuit () in
-  let s = Dc.operating_point ~assembly:Mna.Scalar c in
-  let b = Dc.operating_point ~assembly:Mna.Batched c in
-  check_bits_arr "cached op solution" s.Dc.solution b.Dc.solution;
-  let st = Transient.run ~assembly:Mna.Scalar c ~tstep:1e-12 ~tstop:1e-11 in
-  let bt = Transient.run ~assembly:Mna.Batched c ~tstep:1e-12 ~tstop:1e-11 in
-  check_bits_mat "cached transient" st.Transient.solutions
-    bt.Transient.solutions
+  let r = Dc.operating_point c in
+  Kcl_oracle.check_solution "cached op" r.Dc.compiled r.Dc.solution;
+  let s = Dc.sweep c ~source:"vin" ~start:0.0 ~stop:0.6 ~step:0.1 in
+  Array.iter
+    (fun (p : Dc.op_result) ->
+      Kcl_oracle.check_solution "cached sweep" p.Dc.compiled p.Dc.solution)
+    s.Dc.points
 
-let test_ordering_equivalence_dense_circuits () =
-  (* AMD vs natural ordering must agree on the dense backend (there is
-     nothing to permute) and batched assembly must stay bitwise under
-     either ordering of the sparse backend's rows *)
+let test_amd_ordering_kcl () =
   let c = inverter_circuit () in
-  let nat = Dc.operating_point ~ordering:Linear_solver.Natural c in
-  let amd = Dc.operating_point ~ordering:Linear_solver.Amd c in
-  ignore amd;
-  let s =
+  let nat =
     Dc.operating_point ~backend:Linear_solver.Sparse_backend
-      ~ordering:Linear_solver.Amd ~assembly:Mna.Scalar c
+      ~ordering:Linear_solver.Natural c
   in
-  let b =
+  let amd =
     Dc.operating_point ~backend:Linear_solver.Sparse_backend
-      ~ordering:Linear_solver.Amd ~assembly:Mna.Batched c
+      ~ordering:Linear_solver.Amd c
   in
-  check_bits_arr "amd scalar vs batched" s.Dc.solution b.Dc.solution;
-  (* sanity, not bitwise: orderings solve the same physics *)
+  Kcl_oracle.check_solution "amd op" amd.Dc.compiled amd.Dc.solution;
+  (* orderings permute the same linear systems, so they land on the
+     same solution to well within the Newton tolerance *)
   Array.iteri
     (fun i v ->
-      if Float.abs (v -. s.Dc.solution.(i)) > 1e-9 then
+      if Float.abs (v -. amd.Dc.solution.(i)) > 1e-9 then
         Alcotest.failf "ordering changed the solution beyond 1e-9 at %d" i)
     nat.Dc.solution
+
+let test_newton_step_linearisation () =
+  (* one undamped step from a point off the solution: the Jacobian the
+     scatter pass stamps must be the scalar gm/gds linearisation *)
+  List.iter
+    (fun (label, c, backend) ->
+      let r = Dc.operating_point ~backend c in
+      let x0 =
+        Array.mapi
+          (fun i v ->
+            if i < Mna.node_count r.Dc.compiled then
+              v +. (0.03 *. float_of_int ((i mod 3) - 1))
+            else v)
+          r.Dc.solution
+      in
+      Kcl_oracle.check_newton_step label r.Dc.compiled x0)
+    [
+      ("inverter (dense)", inverter_circuit (), Linear_solver.Dense_backend);
+      ("ring-5 (sparse)", ring_circuit ~stages:5, Linear_solver.Sparse_backend);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Plan replanning and shift_into bitwise pins                         *)
@@ -289,20 +242,17 @@ let test_cap_jobs () =
 let () =
   Alcotest.run "cnt_assembly"
     [
-      ( "equivalence",
+      ( "oracle",
         [
-          Alcotest.test_case "op scalar=batched" `Quick test_op_equivalence;
-          Alcotest.test_case "dc sweep scalar=batched at jobs 1 and 4" `Quick
-            test_dc_sweep_equivalence;
-          Alcotest.test_case "transient scalar=batched" `Quick
-            test_transient_equivalence;
-          Alcotest.test_case "transient scalar=batched (sparse)" `Quick
-            test_transient_equivalence_sparse;
-          Alcotest.test_case "ac scalar=batched" `Quick test_ac_equivalence;
-          Alcotest.test_case "scalar=batched with cache on" `Quick
-            test_equivalence_with_cache;
-          Alcotest.test_case "amd ordering keeps scalar=batched" `Quick
-            test_ordering_equivalence_dense_circuits;
+          Alcotest.test_case "op closes kcl" `Quick test_op_kcl;
+          Alcotest.test_case "dc sweep kcl, serial and pooled" `Quick
+            test_dc_sweep_kcl;
+          Alcotest.test_case "ac bias point closes kcl" `Quick test_ac_bias_kcl;
+          Alcotest.test_case "kcl with cache on" `Quick test_kcl_with_cache;
+          Alcotest.test_case "kcl under amd ordering" `Quick
+            test_amd_ordering_kcl;
+          Alcotest.test_case "newton step = scalar linearisation" `Quick
+            test_newton_step_linearisation;
         ] );
       ( "plans",
         [

@@ -297,6 +297,47 @@ let test_metrics_pins_scv_fallbacks () =
         (contains ~needle:"scv.fallback_bisection,0" csv))
     [ "golden_inverter"; "golden_divider" ]
 
+(* Telemetry counters and the --stats footer count the same device
+   evaluations: one per CNFET per batched refill, none at compile.  The
+   closed-form solve count is pinned too (74 evaluations, 377 solves on
+   this deck), with the eval cache held off since its hits skip
+   solves. *)
+let test_metrics_match_stats () =
+  let tmp = Filename.temp_file "cnt_flight" ".csv" in
+  let code, out, _ =
+    run_command
+      (Printf.sprintf "%s --cache 0 --stats --metrics %s %s" (exe "cspice")
+         tmp (deck "golden_inverter"))
+  in
+  Alcotest.(check int) "exit" 0 code;
+  let csv = read_file tmp in
+  Sys.remove tmp;
+  let counter name =
+    List.find_map
+      (fun l ->
+        match String.split_on_char ',' l with
+        | [ k; v ] when k = name -> int_of_string_opt v
+        | _ -> None)
+      (lines csv)
+  in
+  let stats_evals =
+    List.fold_left
+      (fun acc l ->
+        match
+          Scanf.sscanf_opt l
+            "newton : %_d iterations, %_d linear solves, %d device evals"
+            Fun.id
+        with
+        | Some n -> acc + n
+        | None -> acc)
+      0 (lines out)
+  in
+  Alcotest.(check int) "--stats device evals" 74 stats_evals;
+  Alcotest.(check (option int))
+    "mna.device_evals = --stats" (Some stats_evals)
+    (counter "mna.device_evals");
+  Alcotest.(check (option int)) "scv.solves" (Some 377) (counter "scv.solves")
+
 let test_report_manifest_shape () =
   let tmp = Filename.temp_file "cnt_flight" ".json" in
   let code, _, _ =
@@ -458,6 +499,7 @@ let () =
             test_cli_stdout_invariant_with_flags;
           tc "metrics pin scv.fallback_bisection=0"
             test_metrics_pins_scv_fallbacks;
+          tc "metrics device evals = --stats" test_metrics_match_stats;
           tc "report manifest shape" test_report_manifest_shape;
           tc "metrics .prom format" test_metrics_prom_format;
           tc "unwritable paths exit 2" test_unwritable_paths_exit_2;

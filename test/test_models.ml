@@ -1,10 +1,10 @@
 (* The pluggable device-model tier: registry dispatch, deck [model=]
    parsing, per-backend evaluation invariants (batched stencil bitwise
-   equal to scalar calls, jobs-count and assembly-mode independence,
-   I_DS monotone in V_DS), the --model / CNT_MODEL run override, the
-   cache-identity contract (two decks differing only in model never
-   share entries), and per-backend golden CSVs for a DC sweep and a
-   transient.
+   equal to scalar calls, jobs-count independence, scalar KCL closing
+   at batched DC sweep points, I_DS monotone in V_DS), the --model /
+   CNT_MODEL run override, the cache-identity contract (two decks
+   differing only in model never share entries), and per-backend
+   golden CSVs for a DC sweep and a transient.
 
    To regenerate the golden CSVs after an intentional change, run from
    the project root:
@@ -230,15 +230,17 @@ let test_jobs_invariance backend () =
   in
   check_tables_bitwise (backend ^ ": jobs 1 = jobs 4") (run 1) (run 4)
 
-let test_assembly_invariance backend () =
-  let run assembly =
-    run_ok
-      ~config:(Engine.config ~assembly ())
-      (Parser.parse (sweep_deck_text backend))
+let test_kcl_oracle backend () =
+  (* every backend's batched stencil, as MNA stamps it, must solve to
+     points where scalar [ids] closes KCL *)
+  let deck = Parser.parse (sweep_deck_text backend) in
+  let r =
+    Dc.sweep deck.Parser.circuit ~source:"vin" ~start:0.0 ~stop:0.6 ~step:0.05
   in
-  check_tables_bitwise
-    (backend ^ ": scalar = batched")
-    (run Mna.Scalar) (run Mna.Batched)
+  Array.iter
+    (fun (p : Dc.op_result) ->
+      Kcl_oracle.check_solution backend p.Dc.compiled p.Dc.solution)
+    r.Dc.points
 
 (* ------------------------------------------------------------------ *)
 (* The run-level override                                              *)
@@ -449,7 +451,7 @@ let () =
         per_backend "stencil = scalar bitwise" test_stencil_matches_scalar
         @ per_backend "ids monotone in vds" test_monotone_ids
         @ per_backend "jobs invariance" test_jobs_invariance
-        @ per_backend "assembly invariance" test_assembly_invariance );
+        @ per_backend "batched sweep closes kcl" test_kcl_oracle );
       ( "override",
         [
           tc "matching override is a no-op" test_override_matching_is_noop;

@@ -173,7 +173,27 @@ let test_request_errors () =
   Alcotest.(check string) "unknown op" "bad_request"
     (kind "{\"rpc\":\"cnt-rpc/1\",\"op\":\"explode\"}");
   Alcotest.(check string) "run without deck" "bad_request"
-    (kind "{\"rpc\":\"cnt-rpc/1\",\"op\":\"run\",\"id\":\"1\"}")
+    (kind "{\"rpc\":\"cnt-rpc/1\",\"op\":\"run\",\"id\":\"1\"}");
+  (* unknown config keys, top level or inside homotopy, are rejected
+     with the key named (the daemon answers bad_request with it) *)
+  List.iter
+    (fun (config, named) ->
+      match Json.parse config with
+      | Error msg -> Alcotest.fail msg
+      | Ok j -> (
+          match
+            Protocol.config_of_json ~base:Cnt_spice.Engine.default_config j
+          with
+          | Ok _ -> Alcotest.failf "%s accepted" config
+          | Error msg ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s names %s (%s)" config named msg)
+                true (contains ~needle:named msg)))
+    [
+      ("{\"assembly\":\"scalar\"}", "\"assembly\"");
+      ("{\"modle\":\"vs\"}", "\"modle\"");
+      ("{\"homotopy\":{\"dampd\":true}}", "\"dampd\"");
+    ]
 
 let test_event_roundtrip () =
   let events =
@@ -445,6 +465,37 @@ let test_edge_cases () =
         (error_kind_of_frame line)
   | None -> Alcotest.fail "no reply to oversized line");
   Unix.close fd;
+  (* unknown config keys: bad_request naming the key, no run *)
+  List.iter
+    (fun (config, key) ->
+      let fd = raw_connect sock in
+      raw_send fd
+        (Printf.sprintf
+           "{\"rpc\":\"cnt-rpc/1\",\"op\":\"run\",\"id\":\"k\",\"deck\":{\"text\":\
+            \"t\\nR1 a 0 1k\\nV1 a 0 1\\n.op\\n.end\"},\"config\":%s}"
+           config);
+      (match raw_read_line fd with
+      | Some line ->
+          Alcotest.(check string) (config ^ " kind") "bad_request"
+            (error_kind_of_frame line);
+          let message =
+            match Json.parse line with
+            | Ok j ->
+                Option.bind (Json.member "error" j) (fun e ->
+                    Option.bind (Json.member "message" e) Json.to_str)
+            | Error _ -> None
+          in
+          Alcotest.(check bool)
+            (config ^ " names " ^ key)
+            true
+            (contains ~needle:key (Option.value message ~default:""))
+      | None -> Alcotest.failf "no reply to config %s" config);
+      Unix.close fd)
+    [
+      ("{\"assembly\":\"scalar\"}", "\"assembly\"");
+      ("{\"modle\":\"vs\"}", "\"modle\"");
+      ("{\"homotopy\":{\"dampd\":true}}", "\"dampd\"");
+    ];
   ping_works sock "after edge cases"
 
 let test_disconnect_mid_request () =
