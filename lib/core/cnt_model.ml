@@ -28,17 +28,14 @@ type t = {
   kt_ev : float;
   current_scale : float; (* 2 q k T / (pi hbar), Amperes *)
   identity : string;
-  mutable cache : Eval_cache.store;
-      (* per-slot memo of (V_SC, I_DS) solves; disabled unless the
-         ambient Eval_cache default or set_cache says otherwise *)
 }
 
 (* Canonical identity of a fitted model: polarity, the full device
    parameter set, and the fitted boundary offsets/degrees (which also
    separate Model 1 from Model 2 and optimised from stock boundaries).
    Floats print as hex so distinct parameter sets can never collide
-   through rounding.  This string keys manifests, eval caches and the
-   server-side deck caches — anything where two different models must
+   through rounding.  This string keys manifests and the server-side
+   deck caches — anything where two different models must
    never alias. *)
 let identity_of ~polarity ~(device : Device.t) ~(spec : Charge_fit.spec) =
   let buf = Buffer.create 128 in
@@ -82,7 +79,6 @@ let make ?(polarity = N_type) ?(spec = Charge_fit.model2_spec)
       2.0 *. Constants.elementary_charge *. Constants.thermal_energy temp
       /. (Float.pi *. Constants.hbar);
     identity;
-    cache = Eval_cache.create ~identity (Eval_cache.default_config ());
   }
 
 (* The paper's Model 1 (three pieces) on a device (default: the FETToy
@@ -124,7 +120,6 @@ let of_parts ?(polarity = N_type) ?(charge_rms = nan) ~device ~approx () =
       2.0 *. Constants.elementary_charge *. Constants.thermal_energy temp
       /. (Float.pi *. Constants.hbar);
     identity;
-    cache = Eval_cache.create ~identity (Eval_cache.default_config ());
   }
 
 let model1 ?polarity ?optimise ?(device = Device.default) () =
@@ -142,40 +137,27 @@ let charge_approx t = t.fit.Charge_fit.approx
 let charge_rms t = t.fit.Charge_fit.charge_rms
 let solver t = t.solver
 
-let set_cache t cfg = t.cache <- Eval_cache.create ~identity:t.identity cfg
-let cache_config t = Eval_cache.config t.cache
-let cache_stats t = Eval_cache.stats t.cache
-
 (* Map terminal voltages through the device polarity: a p-type device
    is the electron-hole mirror of the n-type one. *)
 let oriented t ~vgs ~vds =
   match t.polarity with N_type -> (vgs, vds) | P_type -> (-.vgs, -.vds)
 
-(* The full closed-form point solve on oriented voltages: (V_SC, I_DS)
-   with the n-type current sign.  This is the unit of work the cache
-   memoises — both values come out of the one solve, so a hit saves the
-   breakpoint scan, the root extraction and both Fermi integrals. *)
-let solve_point t ~vgs ~vds =
-  let qt = Device.terminal_charge t.device ~vgs ~vds in
-  let vsc = Scv_solver.solve t.solver ~qt ~vds in
+(* Drain current (n-type sign) from a solved V_SC on oriented
+   voltages (paper eq. 14). *)
+let current t ~vsc ~vds =
   let eta_s = (t.device.Device.fermi -. vsc) /. t.kt_ev in
   let eta_d = eta_s -. (vds /. t.kt_ev) in
-  let i =
-    t.current_scale
-    *. (Fermi.integral_order0 eta_s -. Fermi.integral_order0 eta_d)
-  in
-  (vsc, i)
+  t.current_scale
+  *. (Fermi.integral_order0 eta_s -. Fermi.integral_order0 eta_d)
 
-let cached_point t ~ovgs ~ovds =
-  Eval_cache.find_or_add t.cache ~vgs:ovgs ~vds:ovds (fun ~vgs ~vds ->
-      solve_point t ~vgs ~vds)
+(* The closed-form V_SC solve on oriented voltages. *)
+let oriented_vsc t ~ovgs ~ovds =
+  let qt = Device.terminal_charge t.device ~vgs:ovgs ~vds:ovds in
+  Scv_solver.solve t.solver ~qt ~vds:ovds
 
 let solve_vsc t ~vgs ~vds =
   let ovgs, ovds = oriented t ~vgs ~vds in
-  if Eval_cache.enabled t.cache then fst (cached_point t ~ovgs ~ovds)
-  else
-    let qt = Device.terminal_charge t.device ~vgs:ovgs ~vds:ovds in
-    Scv_solver.solve t.solver ~qt ~vds:ovds
+  oriented_vsc t ~ovgs ~ovds
 
 let solve_stats t ~vgs ~vds =
   let vgs, vds = oriented t ~vgs ~vds in
@@ -187,7 +169,7 @@ let solve_stats t ~vgs ~vds =
 let ids t ~vgs ~vds =
   Obs.incr c_ids_evals;
   let ovgs, ovds = oriented t ~vgs ~vds in
-  let i = snd (cached_point t ~ovgs ~ovds) in
+  let i = current t ~vsc:(oriented_vsc t ~ovgs ~ovds) ~vds:ovds in
   match t.polarity with N_type -> i | P_type -> -.i
 
 (* Mobile charges at a bias point (for charge-conserving transient
@@ -195,12 +177,7 @@ let ids t ~vgs ~vds =
    (C/m). *)
 let charges t ~vgs ~vds =
   let ovgs, ovds = oriented t ~vgs ~vds in
-  let vsc =
-    if Eval_cache.enabled t.cache then fst (cached_point t ~ovgs ~ovds)
-    else
-      let qt = Device.terminal_charge t.device ~vgs:ovgs ~vds:ovds in
-      Scv_solver.solve t.solver ~qt ~vds:ovds
-  in
+  let vsc = oriented_vsc t ~ovgs ~ovds in
   let qs = Piecewise.eval (charge_approx t) vsc in
   let qd = Piecewise.eval (charge_approx t) (vsc +. ovds) in
   (vsc, qs, qd)
@@ -211,40 +188,22 @@ let charges t ~vgs ~vds =
 
 type grid = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array2.t
 
-(* One drain column evaluated through a hoisted Scv_solver plan.  The
-   plan is built at the quantised drain bias, so cached and plan-only
-   evaluations agree; the per-point program below is the same
-   floating-point program as [solve_point] with [Scv_solver.solve]
-   replaced by the bitwise-equal [solve_plan]. *)
+(* One drain column evaluated through a hoisted Scv_solver plan; the
+   per-point program is the same floating-point program as [ids] with
+   [Scv_solver.solve] replaced by the bitwise-equal [solve_plan]. *)
 let eval_batch t ~vgs ~vds =
   Obs.span "cnt_model.eval_batch" @@ fun () ->
   let ni = Array.length vgs and nj = Array.length vds in
   let out = Bigarray.Array2.create Bigarray.float64 Bigarray.c_layout ni nj in
-  let use_cache = Eval_cache.enabled t.cache in
   let sign = match t.polarity with N_type -> 1.0 | P_type -> -1.0 in
   for j = 0 to nj - 1 do
     let _, ovds = oriented t ~vgs:0.0 ~vds:vds.(j) in
-    let qvds = Eval_cache.quantise t.cache ovds in
-    let plan = Scv_solver.plan t.solver ~vds:qvds in
-    let compute ~vgs ~vds =
-      let qt = Device.terminal_charge t.device ~vgs ~vds in
-      let vsc = Scv_solver.solve_plan plan ~qt in
-      let eta_s = (t.device.Device.fermi -. vsc) /. t.kt_ev in
-      let eta_d = eta_s -. (vds /. t.kt_ev) in
-      let i =
-        t.current_scale
-        *. (Fermi.integral_order0 eta_s -. Fermi.integral_order0 eta_d)
-      in
-      (vsc, i)
-    in
+    let plan = Scv_solver.plan t.solver ~vds:ovds in
     for i = 0 to ni - 1 do
       let ovgs, _ = oriented t ~vgs:vgs.(i) ~vds:0.0 in
-      let ids =
-        if use_cache then
-          snd (Eval_cache.find_or_add t.cache ~vgs:ovgs ~vds:qvds compute)
-        else snd (compute ~vgs:ovgs ~vds:qvds)
-      in
-      Bigarray.Array2.unsafe_set out i j (sign *. ids)
+      let qt = Device.terminal_charge t.device ~vgs:ovgs ~vds:ovds in
+      let vsc = Scv_solver.solve_plan plan ~qt in
+      Bigarray.Array2.unsafe_set out i j (sign *. current t ~vsc ~vds:ovds)
     done
   done;
   Obs.incr ~by:(ni * nj) c_ids_evals;
@@ -293,48 +252,29 @@ let stencil_ws t =
 (* The MNA stencil — [ids] at the bias point plus the four
    central-difference evaluations behind [gm]/[gds] — as one batched
    kernel writing slot [k] of three output columns.  The per-point
-   program is [solve_point] with the gate/drain capacitances hoisted
-   (they are pure per-device values, recomputed per call by
+   program is [ids] with the gate/drain capacitances hoisted (they are
+   pure per-device values, recomputed per call by
    [Device.terminal_charge]) and [Scv_solver.solve] replaced by the
-   bitwise-equal [solve_plan]; the three solver plans (vds, vds+dv,
-   vds-dv) are built at the cache-quantised drain bias exactly as
-   [eval_batch] does, so the cache composes identically in both
-   directions: batched assembly populates and hits the same per-slot
-   store as scalar calls, key for key.
+   bitwise-equal [solve_plan] over three solver plans (vds, vds+dv,
+   vds-dv).
 
    [fault_i0] is the [Fault.Nan_eval] injection site: the bias-point
    current becomes NaN {e without} evaluating the model there (no
-   counter tick, no cache insertion), while the four
+   counter tick), while the four
    derivative points still evaluate — [Fault.fires] is stateless, so
    hoisting the decision out of the assembly loop cannot change it. *)
 let eval_stencil ?(dv = 1e-4) ?ws t ~fault_i0 ~vgs ~vds ~i0 ~gm ~gds ~k =
-  let use_cache = Eval_cache.enabled t.cache in
   let cg = Device.c_gate t.device and cd = Device.c_drain t.device in
   let fermi = t.device.Device.fermi in
   let kt = t.kt_ev and scale = t.current_scale in
-  let point plan ~ovgs ~qvds =
+  let point plan ~ovgs ~ovds =
     Obs.incr c_ids_evals;
+    let qt = (cg *. ovgs) +. (cd *. ovds) in
+    let vsc = Scv_solver.solve_plan plan ~qt in
+    let eta_s = (fermi -. vsc) /. kt in
+    let eta_d = eta_s -. (ovds /. kt) in
     let i =
-      if use_cache then
-        let compute ~vgs ~vds =
-          let qt = (cg *. vgs) +. (cd *. vds) in
-          let vsc = Scv_solver.solve_plan plan ~qt in
-          let eta_s = (fermi -. vsc) /. kt in
-          let eta_d = eta_s -. (vds /. kt) in
-          ( vsc,
-            scale
-            *. (Fermi.integral_order0 eta_s -. Fermi.integral_order0 eta_d) )
-        in
-        snd (Eval_cache.find_or_add t.cache ~vgs:ovgs ~vds:qvds compute)
-      else begin
-        (* the cache closure's program, inlined so the uncached hot
-           path allocates neither the closure nor its result pair *)
-        let qt = (cg *. ovgs) +. (cd *. qvds) in
-        let vsc = Scv_solver.solve_plan plan ~qt in
-        let eta_s = (fermi -. vsc) /. kt in
-        let eta_d = eta_s -. (qvds /. kt) in
-        scale *. (Fermi.integral_order0 eta_s -. Fermi.integral_order0 eta_d)
-      end
+      scale *. (Fermi.integral_order0 eta_s -. Fermi.integral_order0 eta_d)
     in
     match t.polarity with N_type -> i | P_type -> -.i
   in
@@ -343,41 +283,40 @@ let eval_stencil ?(dv = 1e-4) ?ws t ~fault_i0 ~vgs ~vds ~i0 ~gm ~gds ~k =
   let flip = match t.polarity with N_type -> false | P_type -> true in
   let ori v = if flip then -.v else v in
   let ovgs0 = ori vgs and ovds0 = ori vds in
-  let q0 = Eval_cache.quantise t.cache ovds0 in
   let plan0 =
     match ws with
     | Some w ->
-        Scv_solver.replan w.sw0 ~vds:q0;
+        Scv_solver.replan w.sw0 ~vds:ovds0;
         w.sw0
-    | None -> Scv_solver.plan t.solver ~vds:q0
+    | None -> Scv_solver.plan t.solver ~vds:ovds0
   in
-  let i0v = if fault_i0 then Float.nan else point plan0 ~ovgs:ovgs0 ~qvds:q0 in
+  let i0v =
+    if fault_i0 then Float.nan else point plan0 ~ovgs:ovgs0 ~ovds:ovds0
+  in
   let ovgs_p = ori (vgs +. dv) in
   let ovgs_m = ori (vgs -. dv) in
   let gmv =
-    (point plan0 ~ovgs:ovgs_p ~qvds:q0 -. point plan0 ~ovgs:ovgs_m ~qvds:q0)
+    (point plan0 ~ovgs:ovgs_p ~ovds:ovds0 -. point plan0 ~ovgs:ovgs_m ~ovds:ovds0)
     /. (2.0 *. dv)
   in
   let ovds_p = ori (vds +. dv) in
   let ovds_m = ori (vds -. dv) in
-  let qp = Eval_cache.quantise t.cache ovds_p in
-  let qm = Eval_cache.quantise t.cache ovds_m in
   let plan_p =
     match ws with
     | Some w ->
-        Scv_solver.replan w.swp ~vds:qp;
+        Scv_solver.replan w.swp ~vds:ovds_p;
         w.swp
-    | None -> Scv_solver.plan t.solver ~vds:qp
+    | None -> Scv_solver.plan t.solver ~vds:ovds_p
   in
   let plan_m =
     match ws with
     | Some w ->
-        Scv_solver.replan w.swm ~vds:qm;
+        Scv_solver.replan w.swm ~vds:ovds_m;
         w.swm
-    | None -> Scv_solver.plan t.solver ~vds:qm
+    | None -> Scv_solver.plan t.solver ~vds:ovds_m
   in
   let gdsv =
-    (point plan_p ~ovgs:ovgs0 ~qvds:qp -. point plan_m ~ovgs:ovgs0 ~qvds:qm)
+    (point plan_p ~ovgs:ovgs0 ~ovds:ovds_p -. point plan_m ~ovgs:ovgs0 ~ovds:ovds_m)
     /. (2.0 *. dv)
   in
   Bigarray.Array1.unsafe_set i0 k i0v;

@@ -49,7 +49,7 @@ val identity : t -> string
 (** Canonical identity string: polarity, full device parameter set and
     the fitted boundary offsets/degrees, floats in hex.  Two models
     with the same identity are interchangeable; anything keyed on a
-    model (eval caches, manifests, server deck caches) must use it. *)
+    model (manifests, server deck caches) must use it. *)
 
 val charge_approx : t -> Piecewise.t
 (** The fitted [Q_S(V_SC)] curve. *)
@@ -58,22 +58,6 @@ val charge_rms : t -> float
 (** Relative RMS error of the charge fit over its window. *)
 
 val solver : t -> Scv_solver.t
-
-(** {1 Bias-point evaluation cache}
-
-    Every model owns an {!Eval_cache.store} memoising its
-    [(V_SC, I_DS)] solves against the oriented bias tuple.  Models are
-    born with {!Eval_cache.default_config} (disabled unless [--cache] /
-    [CNT_CACHE] / {!Eval_cache.set_default} says otherwise).  With
-    [quantum = 0] cached and uncached evaluation are bitwise-identical;
-    see [docs/CACHING.md]. *)
-
-val set_cache : t -> Eval_cache.config -> unit
-(** Replace the model's cache with a fresh store of the given
-    configuration (drops any cached entries and statistics). *)
-
-val cache_config : t -> Eval_cache.config
-val cache_stats : t -> Eval_cache.stats
 
 val solve_vsc : t -> vgs:float -> vds:float -> float
 (** Self-consistent voltage at a bias point, in closed form. *)
@@ -85,17 +69,16 @@ val ids : t -> vgs:float -> vds:float -> float
     p-type devices under positive bias. *)
 
 val charges : t -> vgs:float -> vds:float -> float * float * float
-(** [(v_sc, q_s, q_d)] at a bias point; charges in C/m. *)
+(** [(v_sc, q_s, q_d)] at a bias point; charges in C/m.  [v_sc] is
+    {!solve_vsc} at the same bias, bitwise. *)
 
 (** {1 Batched kernels}
 
     [eval_batch] evaluates a whole bias grid in one pass over a
     [Bigarray] result, hoisting the per-drain-bias solver plan
     ({!Scv_solver.plan}) out of the inner loop.  Every element is
-    {e bitwise-equal} to the corresponding scalar {!ids} call under the
-    same cache configuration (pinned by [test/test_property.ml]), and
-    the cache composes: batch evaluations populate and hit the same
-    per-slot store as scalar ones. *)
+    {e bitwise-equal} to the corresponding scalar {!ids} call (pinned
+    by [test/test_property.ml]). *)
 
 type grid = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array2.t
 
@@ -144,9 +127,8 @@ val eval_stencil :
     per-drain-bias solver plans and the device capacitances out of the
     five point evaluations.  With [ws] the plans reuse the workspace's
     storage ({!Scv_solver.replan}) instead of allocating.  Each value
-    is {e bitwise-equal} to the scalar calls under any cache
-    configuration (pinned per backend by [test/test_models.ml]), and
-    cache entries are shared key-for-key with scalar calls.
+    is {e bitwise-equal} to the scalar calls (pinned per backend by
+    [test/test_models.ml]).
     [fault_i0] is the [Fault.Nan_eval] injection site: the bias-point
     current is NaN and that point is not evaluated, while the
     derivative points still are. *)

@@ -3,8 +3,8 @@
     backends for deck cards ([model=...]), run overrides
     ([--model] / [CNT_MODEL]) and per-request server config.
 
-    The MNA compiler, the batched gather/eval/scatter assembly, the
-    eval-cache plumbing and the manifest/export layers consume only
+    The MNA compiler, the batched gather/eval/scatter assembly and the
+    manifest/export layers consume only
     this interface; concrete physics ({!Cnt_model}, {!Vs_model}) plugs
     in through {!register}.  Two backends ship in-tree: ["piecewise"]
     (the paper's Model 1/Model 2, the reference backend — bitwise
@@ -33,8 +33,7 @@ type stencil =
 (** One workspace-backed MNA stencil evaluation: writes slot [k] of the
     three output columns with the bias-point current and the
     central-difference [gm]/[gds].  Must be {e bitwise-equal} to the
-    corresponding scalar {!ids}/{!gm}/{!gds} calls under any cache
-    configuration.  [fault_i0] makes the bias-point current NaN without
+    corresponding scalar {!ids}/{!gm}/{!gds} calls.  [fault_i0] makes the bias-point current NaN without
     evaluating the model there (the [Fault.Nan_eval] injection site);
     the derivative points still evaluate.  A stencil closure
     owns its scratch state: keep one per device per cloned system,
@@ -48,8 +47,8 @@ val backend : t -> string
 
 val identity : t -> string
 (** Canonical identity string (starts with a backend tag, floats in
-    hex).  Everything keyed on a model — eval caches, manifests, the
-    server deck caches — must use it; equal identity means
+    hex).  Everything keyed on a model — manifests, the server deck
+    caches — must use it; equal identity means
     interchangeable models. *)
 
 val polarity : t -> polarity
@@ -77,13 +76,6 @@ val stencil : t -> stencil
 val intrinsic_caps : t -> length:float -> (float * float) option
 (** Meyer-style [(c_gs, c_gd)] intrinsic terminal capacitances for a
     tube of [length] metres; [None] when [length <= 0]. *)
-
-val set_cache : t -> Eval_cache.config -> unit
-(** Replace the model's eval cache (fresh store, salted with the
-    model's identity). *)
-
-val cache_config : t -> Eval_cache.config
-val cache_stats : t -> Eval_cache.stats
 
 val as_piecewise : t -> Cnt_model.t option
 (** The underlying piecewise model, for piecewise-only consumers

@@ -45,7 +45,6 @@ type t = {
   p : params;
   phi_t : float;  (* thermal voltage kT/q at the device temperature, V *)
   identity : string;
-  mutable cache : Eval_cache.store;
 }
 
 let identity_of ~polarity ~(device : Device.t) ~(p : params) =
@@ -69,31 +68,19 @@ let make ?(polarity = N_type) ?(vt0 = 0.3) ?(dibl = 0.05) ?(n_ss = 1.1)
   check "cinv" cinv;
   let p = { vt0; dibl; n_ss; vxo; beta; vdsat; cinv } in
   let identity = identity_of ~polarity ~device ~p in
-  {
-    device;
-    polarity;
-    p;
-    phi_t;
-    identity;
-    cache = Eval_cache.create ~identity (Eval_cache.default_config ());
-  }
+  { device; polarity; p; phi_t; identity }
 
 let device t = t.device
 let polarity t = t.polarity
 let params t = t.p
 let identity t = t.identity
 
-let set_cache t cfg = t.cache <- Eval_cache.create ~identity:t.identity cfg
-let cache_config t = Eval_cache.config t.cache
-let cache_stats t = Eval_cache.stats t.cache
-
 (* Numerically safe ln(1 + exp x): for large x the exp overflows but
    the limit is x itself. *)
 let softplus x = if x > 40.0 then x else Float.log1p (Float.exp x)
 
-(* Forward current for oriented, non-negative V_DS.  Also returns the
-   virtual-source charge (C/m) — the pair the cache memoises, mirroring
-   the (V_SC, I_DS) pair of the piecewise store. *)
+(* Forward current for oriented, non-negative V_DS, with the
+   virtual-source charge (C/m) it was computed from. *)
 let forward t ~vgs ~vds =
   let vt = t.p.vt0 -. (t.p.dibl *. vds) in
   let nphi = t.p.n_ss *. t.phi_t in
@@ -114,22 +101,18 @@ let solve_point t ~vgs ~vds =
 let oriented t ~vgs ~vds =
   match t.polarity with N_type -> (vgs, vds) | P_type -> (-.vgs, -.vds)
 
-let cached_point t ~ovgs ~ovds =
-  Eval_cache.find_or_add t.cache ~vgs:ovgs ~vds:ovds (fun ~vgs ~vds ->
-      solve_point t ~vgs ~vds)
-
 let ids t ~vgs ~vds =
   Obs.incr c_ids_evals;
   let ovgs, ovds = oriented t ~vgs ~vds in
-  let i = snd (cached_point t ~ovgs ~ovds) in
+  let i = snd (solve_point t ~vgs:ovgs ~vds:ovds) in
   match t.polarity with N_type -> i | P_type -> -.i
 
 (* Virtual-source charge and its drain-swapped counterpart, playing the
    role of the piecewise model's source/drain mobile charges. *)
 let charges t ~vgs ~vds =
   let ovgs, ovds = oriented t ~vgs ~vds in
-  let qs = fst (cached_point t ~ovgs ~ovds) in
-  let qd = fst (cached_point t ~ovgs:(ovgs -. ovds) ~ovds:(-.ovds)) in
+  let qs = fst (solve_point t ~vgs:ovgs ~vds:ovds) in
+  let qd = fst (solve_point t ~vgs:(ovgs -. ovds) ~vds:(-.ovds)) in
   (0.0, qs, qd)
 
 let gm ?(dv = 1e-4) t ~vgs ~vds =

@@ -51,10 +51,6 @@ val identity : t -> string
 (** Canonical identity string ("vs|..."), hex floats; see
     {!Cnt_model.identity} for the contract. *)
 
-val set_cache : t -> Eval_cache.config -> unit
-val cache_config : t -> Eval_cache.config
-val cache_stats : t -> Eval_cache.stats
-
 val ids : t -> vgs:float -> vds:float -> float
 (** Drain current (A).  Negative for p-type devices under positive
     bias, matching {!Cnt_model.ids}. *)

@@ -74,10 +74,6 @@ let config_to_json (c : Engine.config) =
             ("gmin_steps", Json.Num (float_of_int c.homotopy.gmin_steps));
             ("source_steps", Json.Num (float_of_int c.homotopy.source_steps));
           ] );
-      ( "cache",
-        opt
-          (fun cc -> Json.Str (Cnt_core.Eval_cache.config_to_string cc))
-          c.cache );
       ("deadline_s", opt (fun s -> Json.Num s) c.deadline);
       ("model", opt (fun m -> Json.Str m) c.model);
     ]
@@ -152,14 +148,6 @@ let config_of_json ~(base : Engine.config) j =
         tol = get "tol" Json.to_float j base.tol;
         max_iter = get "max_iter" Json.to_int j base.max_iter;
         homotopy;
-        cache =
-          get "cache"
-            (fun v ->
-              Option.bind (Json.to_str v) (fun s ->
-                  match Cnt_core.Eval_cache.config_of_string s with
-                  | Ok c -> Some (Some c)
-                  | Error _ -> None))
-            j base.cache;
         deadline =
           get "deadline_s"
             (fun v -> Option.map Option.some (Json.to_float v))

@@ -24,8 +24,6 @@ type config = {
   tol : float;
   max_iter : int;
   homotopy : Homotopy.policy;
-  cache : Cnt_core.Eval_cache.config option;
-      (* None: leave each model's cache as constructed *)
   deadline : float option;
       (* wall-clock budget in seconds for the whole deck; None: none *)
   model : string option;
@@ -43,7 +41,6 @@ let default_config =
     tol = 1e-9;
     max_iter = 200;
     homotopy = Homotopy.default;
-    cache = None;
     deadline = None;
     model = None;
   }
@@ -51,8 +48,8 @@ let default_config =
 (* The one way to build a config without spelling the whole record:
    every knob defaults to its [default_config] value, so adding a field
    never breaks builder call sites. *)
-let config ?backend ?ordering ?jobs ?gmin ?tol ?max_iter ?homotopy ?cache
-    ?deadline ?model () =
+let config ?backend ?ordering ?jobs ?gmin ?tol ?max_iter ?homotopy ?deadline
+    ?model () =
   {
     backend = Option.value backend ~default:default_config.backend;
     ordering;
@@ -61,7 +58,6 @@ let config ?backend ?ordering ?jobs ?gmin ?tol ?max_iter ?homotopy ?cache
     tol = Option.value tol ~default:default_config.tol;
     max_iter = Option.value max_iter ~default:default_config.max_iter;
     homotopy = Option.value homotopy ~default:default_config.homotopy;
-    cache;
     deadline;
     model;
   }
@@ -242,20 +238,6 @@ let tran_table ?(config = default_config) circuit prints ~tstep ~tstop =
   in
   { analysis_label = label; columns; rows; stats = Transient.stats r }
 
-(* Give every CNFET of the deck a fresh evaluation cache of the
-   configured size before any analysis runs (no-op when the config
-   leaves the cache unset). *)
-let apply_cache_config config circuit =
-  match config.cache with
-  | None -> ()
-  | Some cfg ->
-      List.iter
-        (function
-          | Circuit.Cnfet { params; _ } ->
-              Cnt_core.Device_model.set_cache params.Circuit.model cfg
-          | _ -> ())
-        (Circuit.elements circuit)
-
 (* Wall-clock deadline enforcement.  The budget covers the whole deck:
    a check runs before every analysis, and a progress sink checks on
    every tick the analyses emit (sweep points, transient steps,
@@ -298,7 +280,6 @@ let apply_model_override config circuit =
 (* Raising core of {!run_deck_result}. *)
 let run_deck_exn ~config (deck : Parser.deck) =
   let circuit = apply_model_override config deck.Parser.circuit in
-  apply_cache_config config circuit;
   let run check =
     List.map
       (fun analysis ->
@@ -389,11 +370,6 @@ let config_manifest (c : config) =
             ("gmin_steps", Manifest.Int p.Homotopy.gmin_steps);
             ("source_steps", Manifest.Int p.Homotopy.source_steps);
           ] );
-      ( "cache",
-        match c.cache with
-        | None -> Manifest.Null
-        | Some cfg -> Manifest.String (Cnt_core.Eval_cache.config_to_string cfg)
-      );
       ( "deadline_s",
         match c.deadline with
         | None -> Manifest.Null

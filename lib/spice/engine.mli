@@ -29,12 +29,6 @@ type config = {
   tol : float;  (** Newton convergence tolerance (default 1e-9) *)
   max_iter : int;  (** Newton iteration budget per solve (default 200) *)
   homotopy : Homotopy.policy;  (** convergence-ladder policy *)
-  cache : Cnt_core.Eval_cache.config option;
-      (** bias-point evaluation cache given to every CNFET of the deck
-          before analyses run ([--cache] / [CNT_CACHE]); [None] leaves
-          each model's cache as constructed.  With [quantum = 0]
-          results are bitwise-identical to uncached runs; see
-          [docs/CACHING.md]. *)
   deadline : float option;
       (** wall-clock budget in seconds for the whole deck
           ([--deadline], or the [deadline_s] field of a [cntd]
@@ -65,7 +59,6 @@ val config :
   ?tol:float ->
   ?max_iter:int ->
   ?homotopy:Homotopy.policy ->
-  ?cache:Cnt_core.Eval_cache.config ->
   ?deadline:float ->
   ?model:string ->
   unit ->

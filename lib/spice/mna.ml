@@ -582,11 +582,10 @@ let clone c =
    and stays safe to clone from any future request.
 
    Physical keying is deliberate: value-equality over a netlist is
-   both expensive and hazardous (two structurally equal circuits can
-   still diverge through their mutable model caches).  The daemon's
-   deck cache keeps one canonical [Parser.deck] per deck-content hash
-   alive, so repeated requests for the same deck text present the same
-   circuit value and hit here.  One-shot CLI runs never enable this.
+   expensive, and model records hold closures it cannot compare.  The
+   daemon's deck cache keeps one canonical [Parser.deck] per
+   deck-content hash alive, so repeated requests for the same deck text
+   present the same circuit value and hit here.  One-shot CLI runs never enable this.
 
    Counters (under telemetry): [mna.compile_cache.hits] /
    [mna.compile_cache.misses].  Entries evict FIFO beyond [max]. *)

@@ -789,26 +789,33 @@ let source_wave st env ~at tokens =
   | tok :: rest -> begin
       let name, args = call_form tok.text in
       let num a = eval_text st env ~at:tok.at ~coloff:0 a in
+      (* the Waveform constructors reject bad shapes with
+         [Invalid_argument]; report them at the card *)
+      let checked rule make =
+        try make () with Invalid_argument _ -> fail st tok.at "%s" rule
+      in
       match (name, args, rest) with
       | "dc", [], v :: _ -> Waveform.dc (value_of st env v)
       | "dc", [ v ], _ -> Waveform.dc (num v)
       | "pulse", args, _ -> begin
           match List.map num args with
           | [ v1; v2; td; tr; tf; pw; per ] ->
-              Waveform.pulse ~delay:td ~rise:tr ~fall:tf ~v1 ~v2 ~width:pw
-                ~period:per ()
+              checked "pulse needs pw >= 0 and per > 0" (fun () ->
+                  Waveform.pulse ~delay:td ~rise:tr ~fall:tf ~v1 ~v2 ~width:pw
+                    ~period:per ())
           | _ ->
               fail st tok.at "pulse needs 7 parameters (v1 v2 td tr tf pw per)"
         end
       | "sin", args, _ -> begin
+          let sin ?delay ?damping vo va freq =
+            checked "sin needs freq > 0" (fun () ->
+                Waveform.sin_wave ?delay ?damping ~offset:vo ~amplitude:va
+                  ~freq ())
+          in
           match List.map num args with
-          | [ vo; va; freq ] ->
-              Waveform.sin_wave ~offset:vo ~amplitude:va ~freq ()
-          | [ vo; va; freq; td ] ->
-              Waveform.sin_wave ~delay:td ~offset:vo ~amplitude:va ~freq ()
-          | [ vo; va; freq; td; damping ] ->
-              Waveform.sin_wave ~delay:td ~damping ~offset:vo ~amplitude:va
-                ~freq ()
+          | [ vo; va; freq ] -> sin vo va freq
+          | [ vo; va; freq; td ] -> sin ~delay:td vo va freq
+          | [ vo; va; freq; td; damping ] -> sin ~delay:td ~damping vo va freq
           | _ ->
               fail st tok.at
                 "sin needs 3-5 parameters (vo va freq [td [damping]])"
@@ -820,7 +827,9 @@ let source_wave st env ~at tokens =
             | t :: v :: rest -> (t, v) :: pair rest
             | [ _ ] -> fail st tok.at "pwl needs an even number of values"
           in
-          Waveform.pwl (pair nums)
+          let points = pair nums in
+          checked "pwl needs (time, value) pairs with non-decreasing times"
+            (fun () -> Waveform.pwl points)
         end
       | _, [], _ -> Waveform.dc (value_of st env tok)
       | _ -> fail st tok.at "unrecognised source value %S" tok.text
@@ -888,23 +897,20 @@ let rec resolve_card st defs env (card : card) =
   match card.toks with
   | [] -> assert false (* the lexer drops empty cards *)
   | head :: args -> begin
-      let two kind usage =
+      let two kind quantity usage =
         match args with
         | [ n1; n2; v ] ->
-            R_two
-              {
-                kind;
-                rname = head.text;
-                n1 = n1.text;
-                n2 = n2.text;
-                value = value_of st env v;
-              }
+            let value = value_of st env v in
+            if value <= 0.0 then
+              fail st v.at "%s: %s must be positive, got %g" head.text
+                quantity value;
+            R_two { kind; rname = head.text; n1 = n1.text; n2 = n2.text; value }
         | _ -> fail st head.at "%s" usage
       in
       match (lc head.text).[0] with
-      | 'r' -> two `R "resistor: Rname n1 n2 value"
-      | 'c' -> two `C "capacitor: Cname n1 n2 value"
-      | 'l' -> two `L "inductor: Lname n1 n2 value"
+      | 'r' -> two `R "resistance" "resistor: Rname n1 n2 value"
+      | 'c' -> two `C "capacitance" "capacitor: Cname n1 n2 value"
+      | 'l' -> two `L "inductance" "inductor: Lname n1 n2 value"
       | 'v' | 'i' -> begin
           let kind = if (lc head.text).[0] = 'v' then `V else `I in
           match args with
@@ -1091,14 +1097,44 @@ let rec emit_rcard st defs ~depth ~prefix ~map_node elements r =
 let parse_print st tokens =
   List.map
     (fun tok ->
-      match call_form tok.text with
-      | "v", [ node ] -> Print_v (lc node)
-      | "i", [ src ] -> Print_i (lc src)
-      | "id", [ dev ] -> Print_id (lc dev)
-      | _ ->
-          fail st tok.at
-            "bad print item %S (use v(node), i(vsrc) or id(device))" tok.text)
+      let item =
+        match call_form tok.text with
+        | "v", [ node ] -> Print_v (lc node)
+        | "i", [ src ] -> Print_i (lc src)
+        | "id", [ dev ] -> Print_id (lc dev)
+        | _ ->
+            fail st tok.at
+              "bad print item %S (use v(node), i(vsrc) or id(device))" tok.text
+      in
+      (item, tok.at))
     tokens
+
+(* Every [.print] target must exist in the built circuit: v() a node,
+   i() a voltage source or inductor (the elements with a branch
+   current), id() a CNFET — and id() has no AC meaning. *)
+let check_prints st circuit analyses prints =
+  let nodes = Hashtbl.create 64 in
+  List.iter (fun n -> Hashtbl.replace nodes n ()) (Circuit.nodes circuit);
+  let has_ac = List.exists (function Ac_sweep _ -> true | _ -> false) analyses in
+  List.iter
+    (fun (item, at) ->
+      match item with
+      | Print_v n ->
+          if not (Circuit.is_ground n || Hashtbl.mem nodes n) then
+            fail st at "v(%s): no such node" n
+      | Print_i s -> (
+          match Circuit.find circuit s with
+          | Some (Circuit.Vsource _ | Circuit.Inductor _) -> ()
+          | Some _ -> fail st at "i(%s): not a voltage source or inductor" s
+          | None -> fail st at "i(%s): no such element" s)
+      | Print_id d -> (
+          match Circuit.find circuit d with
+          | Some (Circuit.Cnfet _) ->
+              if has_ac then
+                fail st at "id(%s): id() print items are not supported by .ac" d
+          | Some _ -> fail st at "id(%s): not a CNFET" d
+          | None -> fail st at "id(%s): no such element" d))
+    prints
 
 let parse_param st env ~at tokens =
   let tokens = glue_eq tokens in
@@ -1216,18 +1252,28 @@ let parse ?(file = "<deck>") text =
                 | ".print", items -> prints := !prints @ parse_print st items
                 | _ -> fail st head.at "unknown directive %s" h
               end
-            | 'r' | 'c' | 'l' | 'v' | 'i' | 'm' | 'x' ->
-                emit_rcard st defs ~depth:0 ~prefix:"" ~map_node:Fun.id
-                  elements
-                  (resolve_card st defs !env card)
+            | 'r' | 'c' | 'l' | 'v' | 'i' | 'm' | 'x' -> (
+                try
+                  emit_rcard st defs ~depth:0 ~prefix:"" ~map_node:Fun.id
+                    elements
+                    (resolve_card st defs !env card)
+                with Circuit.Bad_circuit msg -> fail st head.at "%s" msg)
             | _ -> fail st head.at "unknown card %S" head.text
           end
       end)
     top;
+  (* what is left for [Circuit.create] to reject (duplicate names, no
+     ground) concerns the deck as a whole *)
+  let circuit =
+    try Circuit.create (List.rev !elements)
+    with Circuit.Bad_circuit msg -> fail_nowhere "%s" msg
+  in
+  let analyses = List.rev !analyses in
+  check_prints st circuit analyses !prints;
   {
     title;
-    circuit = Circuit.create (List.rev !elements);
-    analyses = List.rev !analyses;
-    prints = !prints;
+    circuit;
+    analyses;
+    prints = List.map fst !prints;
     files = List.rev st.file_order;
   }

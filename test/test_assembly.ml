@@ -3,8 +3,8 @@
    MNA stamps CNFETs only through the batched gather/eval/scatter
    pipeline.  The scalar per-device path survives here as a test
    oracle ({!Kcl_oracle}): at every solution the batched runs return —
-   operating points, DC sweeps at jobs 1 and 4, AMD ordering, the eval
-   cache on, the bias point AC linearises around — each CNFET is
+   operating points, DC sweeps at jobs 1 and 4, AMD ordering, the bias
+   point AC linearises around — each CNFET is
    evaluated with scalar [Device_model.ids] and KCL must close at every
    node, and one Newton step must solve the scalar linearisation.  Also
    here: the supporting bitwise pins (plan replanning, allocation-free
@@ -15,20 +15,9 @@ open Cnt_spice
 
 let bits = Int64.bits_of_float
 
-(* One fitted model pair shared by every circuit in this file; cache
-   configuration is mutated per test and restored to disabled. *)
+(* One fitted model pair shared by every circuit in this file. *)
 let fam =
   lazy (Stdcells.family ~length:100e-9 ())
-
-let with_cache config f =
-  let fam = Lazy.force fam in
-  Cnt_core.Cnt_model.set_cache fam.Stdcells.n_model config;
-  Cnt_core.Cnt_model.set_cache fam.Stdcells.p_model config;
-  Fun.protect
-    ~finally:(fun () ->
-      Cnt_core.Cnt_model.set_cache fam.Stdcells.n_model Cnt_core.Eval_cache.disabled;
-      Cnt_core.Cnt_model.set_cache fam.Stdcells.p_model Cnt_core.Eval_cache.disabled)
-    f
 
 let inverter_circuit ?(vin = 0.27) () =
   let fam = Lazy.force fam in
@@ -78,19 +67,6 @@ let test_ac_bias_kcl () =
   in
   let r = Ac.run c ~freqs:[| 1e3; 1e6; 1e9 |] in
   Kcl_oracle.check_solution "ac bias point" r.Ac.compiled r.Ac.op.Dc.solution
-
-let test_kcl_with_cache () =
-  (* the bias-point cache (exact keys) serves the batched stencils;
-     its hits must carry the same currents scalar calls compute *)
-  with_cache { Cnt_core.Eval_cache.size = 4096; quantum = 0.0 } @@ fun () ->
-  let c = inverter_circuit () in
-  let r = Dc.operating_point c in
-  Kcl_oracle.check_solution "cached op" r.Dc.compiled r.Dc.solution;
-  let s = Dc.sweep c ~source:"vin" ~start:0.0 ~stop:0.6 ~step:0.1 in
-  Array.iter
-    (fun (p : Dc.op_result) ->
-      Kcl_oracle.check_solution "cached sweep" p.Dc.compiled p.Dc.solution)
-    s.Dc.points
 
 let test_amd_ordering_kcl () =
   let c = inverter_circuit () in
@@ -248,7 +224,6 @@ let () =
           Alcotest.test_case "dc sweep kcl, serial and pooled" `Quick
             test_dc_sweep_kcl;
           Alcotest.test_case "ac bias point closes kcl" `Quick test_ac_bias_kcl;
-          Alcotest.test_case "kcl with cache on" `Quick test_kcl_with_cache;
           Alcotest.test_case "kcl under amd ordering" `Quick
             test_amd_ordering_kcl;
           Alcotest.test_case "newton step = scalar linearisation" `Quick

@@ -446,27 +446,32 @@ let run_cspice ?(env = "") args =
   (code, stderr_text)
 
 let test_cli_exit_codes () =
+  let has sub s =
+    let n = String.length sub and m = String.length s in
+    let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
+    go 0
+  in
   let easy = write_temp_deck easy_deck_text in
   let garbage = write_temp_deck "t\nR1 a b not_a_number\n.op\n.end\n" in
-  let internal =
+  let bad_print =
     write_temp_deck "t\nV1 a 0 1\nR1 a 0 1k\n.op\n.print id(r1)\n.end\n"
   in
-  let cleanup () = List.iter Sys.remove [ easy; garbage; internal ] in
+  let cleanup () = List.iter Sys.remove [ easy; garbage; bad_print ] in
   Fun.protect ~finally:cleanup @@ fun () ->
   Alcotest.(check int) "success is 0" 0 (fst (run_cspice easy));
   Alcotest.(check int) "missing file is 2" 2
     (fst (run_cspice "/nonexistent/deck.cir"));
   Alcotest.(check int) "parse error is 2" 2 (fst (run_cspice garbage));
-  Alcotest.(check int) "internal error is 4" 4 (fst (run_cspice internal));
+  Alcotest.(check int) "internal error is 4" 4
+    (Diag.exit_code (Diag.Internal "bug"));
+  let code, err = run_cspice bad_print in
+  Alcotest.(check int) "bad print target is 2" 2 code;
+  Alcotest.(check bool) "bad print target is located" true
+    (has ":5:8: id(r1): not a CNFET" err);
   let code, err = run_cspice ~env:"CNT_FAULT=exhaust" easy in
   Alcotest.(check int) "convergence failure is 3" 3 code;
   Alcotest.(check bool) "trail printed to stderr" true
-    (let has sub s =
-       let n = String.length sub and m = String.length s in
-       let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-       go 0
-     in
-     has "strategy trail" err && has "plain-newton" err)
+    (has "strategy trail" err && has "plain-newton" err)
 
 let test_cli_hard_deck () =
   Alcotest.(check int) "hard deck converges by default" 0

@@ -78,6 +78,9 @@ let bad_decks =
     "bad_continuation";
     "bad_subckt_port";
     "bad_override";
+    "bad_waveform";
+    "bad_value";
+    "bad_print_target";
   ]
 
 (* Run cspice on corpus/NAME.cir with the test directory as cwd so

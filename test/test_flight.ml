@@ -300,13 +300,12 @@ let test_metrics_pins_scv_fallbacks () =
 (* Telemetry counters and the --stats footer count the same device
    evaluations: one per CNFET per batched refill, none at compile.  The
    closed-form solve count is pinned too (74 evaluations, 377 solves on
-   this deck), with the eval cache held off since its hits skip
-   solves. *)
+   this deck). *)
 let test_metrics_match_stats () =
   let tmp = Filename.temp_file "cnt_flight" ".csv" in
   let code, out, _ =
     run_command
-      (Printf.sprintf "%s --cache 0 --stats --metrics %s %s" (exe "cspice")
+      (Printf.sprintf "%s --stats --metrics %s %s" (exe "cspice")
          tmp (deck "golden_inverter"))
   in
   Alcotest.(check int) "exit" 0 code;
@@ -401,6 +400,23 @@ let test_unwritable_paths_exit_2 () =
         true
         (contains ~needle:"output error:" err))
     [ "--report"; "--metrics"; "--trace" ]
+
+(* Retired options are usage errors, not silently ignored. *)
+let test_retired_flags_exit_2 () =
+  List.iter
+    (fun (flag, arg) ->
+      let code, out, err =
+        run_command
+          (Printf.sprintf "%s %s %s %s" (exe "cspice") flag arg
+             (deck "golden_divider"))
+      in
+      Alcotest.(check int) (flag ^ " exit") 2 code;
+      Alcotest.(check string) (flag ^ " no run") "" out;
+      Alcotest.(check bool)
+        (flag ^ " usage message")
+        true
+        (contains ~needle:"unknown option" err))
+    [ ("--cache", "4096") ]
 
 (* ------------------------------------------------------------------ *)
 (* bench differ                                                        *)
@@ -503,6 +519,7 @@ let () =
           tc "report manifest shape" test_report_manifest_shape;
           tc "metrics .prom format" test_metrics_prom_format;
           tc "unwritable paths exit 2" test_unwritable_paths_exit_2;
+          tc "retired flags exit 2" test_retired_flags_exit_2;
         ] );
       ( "bench-diff",
         [

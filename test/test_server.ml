@@ -105,7 +105,6 @@ let test_config_roundtrip () =
       ordering = Some Cnt_numerics.Linear_solver.Amd;
       jobs = Some 3;
       tol = 1e-7;
-      cache = Some { Cnt_core.Eval_cache.size = 512; quantum = 1e-4 };
       deadline = Some 2.5;
       homotopy = { Cnt_spice.Homotopy.default with gmin_steps = 17 };
     }
@@ -191,6 +190,7 @@ let test_request_errors () =
                 true (contains ~needle:named msg)))
     [
       ("{\"assembly\":\"scalar\"}", "\"assembly\"");
+      ("{\"cache\":\"4096\"}", "\"cache\"");
       ("{\"modle\":\"vs\"}", "\"modle\"");
       ("{\"homotopy\":{\"dampd\":true}}", "\"dampd\"");
     ]
@@ -385,21 +385,40 @@ let test_connect_parity_concurrent () =
 
 let test_connect_error_parity () =
   with_daemon @@ fun sock ->
-  (* a deck that cannot parse: same exit and same stderr first line as
-     offline *)
-  let bad = Filename.temp_file "cnt_server_bad" ".cir" in
-  let oc = open_out bad in
-  output_string oc "bad deck\nR1 a b not_a_number\n.end\n";
-  close_out oc;
-  Fun.protect ~finally:(fun () -> Sys.remove bad) @@ fun () ->
-  let code_off, _, err_off =
-    run_command (Printf.sprintf "%s %s" cspice bad)
-  in
-  let code_on, _, err_on =
-    run_command (Printf.sprintf "%s --connect %s %s" cspice sock bad)
-  in
-  Alcotest.(check int) "parse error exit parity (2)" code_off code_on;
-  Alcotest.(check string) "parse error stderr parity" err_off err_on
+  (* decks rejected before any analysis: exit 2 with a located
+     diagnostic, and the same stderr bytes offline and over the wire *)
+  List.iter
+    (fun (text, loc) ->
+      let bad = Filename.temp_file "cnt_server_bad" ".cir" in
+      let oc = open_out bad in
+      output_string oc text;
+      close_out oc;
+      Fun.protect ~finally:(fun () -> Sys.remove bad) @@ fun () ->
+      let code_off, _, err_off =
+        run_command (Printf.sprintf "%s %s" cspice bad)
+      in
+      let code_on, _, err_on =
+        run_command (Printf.sprintf "%s --connect %s %s" cspice sock bad)
+      in
+      let label = String.escaped text in
+      Alcotest.(check int) (label ^ " exit 2") 2 code_off;
+      Alcotest.(check int) (label ^ " exit parity") code_off code_on;
+      Alcotest.(check bool)
+        (label ^ " located at " ^ loc)
+        true
+        (contains ~needle:(bad ^ loc) err_off);
+      Alcotest.(check string) (label ^ " stderr parity") err_off err_on)
+    [
+      ("bad deck\nR1 a b not_a_number\n.end\n", ":2:8:");
+      ("t\nV1 in 0 PULSE(0 1 0 0 0 -1 2)\nR1 in 0 1k\n.op\n.end\n", ":2:9:");
+      ("t\nV1 in 0 SIN(0 1 -5)\nR1 in 0 1k\n.op\n.end\n", ":2:9:");
+      ("t\nV1 vdd 0 1\nR1 vdd a -1k\nR2 a 0 1k\n.op\n.end\n", ":3:10:");
+      ("t\nV1 vdd 0 1\nR1 vdd 0 0\n.op\n.end\n", ":3:10:");
+      ("t\nV1 a 0 1\nR1 a 0 1k\n.op\n.print v(nope)\n.end\n", ":5:8:");
+      ("t\nV1 a 0 1\nR1 a 0 1k\n.op\n.print i(vnope)\n.end\n", ":5:8:");
+      ("t\nV1 a 0 1\nR1 a 0 1k\n.op\n.print id(mnope)\n.end\n", ":5:8:");
+      ("t\nV1 a 0 1\nR1 a 0 1k\n.op\n.print id(r1)\n.end\n", ":5:8:");
+    ]
 
 let test_connect_refused () =
   let code, _, err =
@@ -493,6 +512,7 @@ let test_edge_cases () =
       Unix.close fd)
     [
       ("{\"assembly\":\"scalar\"}", "\"assembly\"");
+      ("{\"cache\":\"4096\"}", "\"cache\"");
       ("{\"modle\":\"vs\"}", "\"modle\"");
       ("{\"homotopy\":{\"dampd\":true}}", "\"dampd\"");
     ];

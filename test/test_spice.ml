@@ -429,7 +429,28 @@ let test_parse_errors () =
   Alcotest.(check bool) "cards after .end ignored" true
     (match Parser.parse "t\nR1 a 0 1k\n.op\n.end\nGARBAGE LINE HERE\n" with
     | _ -> true
-    | exception Parser.Parse_error _ -> false)
+    | exception Parser.Parse_error _ -> false);
+  (* semantic errors the parser can see are deck errors at the card,
+     or unlocated when they concern the whole deck *)
+  List.iter
+    (fun (label, text, line) ->
+      match Parser.parse text with
+      | exception Parser.Parse_error { Diag.loc; _ } ->
+          Alcotest.(check (option int))
+            (label ^ " line") line
+            (Option.map (fun (l : Diag.source_loc) -> l.line) loc)
+      | _ -> Alcotest.failf "%s: accepted" label)
+    [
+      ("pwl times", "t\nV1 a 0 PWL(0 0 2n 1 1n 0)\nR1 a 0 1k\n.end", Some 2);
+      ("negative length", "t\nV1 a 0 1\nM1 a a 0 cnfet l=-5\n.end", Some 3);
+      ("negative capacitance", "t\nV1 a 0 1\nC1 a 0 -1p\n.end", Some 3);
+      ( "id() under .ac",
+        "t\nV1 a 0 1 AC 1\nM1 a a 0 cnfet\n.ac dec 2 1k 10k\n.print id(m1)\n.end",
+        Some 5 );
+      ("i() of a resistor", "t\nV1 a 0 1\nR1 a 0 1k\n.print i(r1)\n.end", Some 4);
+      ("duplicate name", "t\nV1 a 0 1\nR1 a 0 1k\nr1 a 0 2k\n.end", None);
+      ("no ground", "t\nV1 a b 1\nR1 a b 1k\n.end", None);
+    ]
 
 let test_parse_dc_directive () =
   let deck = Parser.parse "t\nV1 in 0 0\nR1 in 0 1k\n.dc V1 0 1 0.1\n.print v(in) i(V1)\n.end" in
