@@ -23,25 +23,6 @@ let solver_arg =
     & opt backend_conv Cnt_numerics.Linear_solver.Auto
     & info [ "solver" ] ~docv:"BACKEND" ~doc)
 
-let ordering_arg =
-  let ordering_conv =
-    Arg.enum
-      [
-        ("natural", Cnt_numerics.Linear_solver.Natural);
-        ("amd", Cnt_numerics.Linear_solver.Amd);
-      ]
-  in
-  let doc =
-    "Sparse fill-reducing ordering: $(b,natural) keeps the netlist's unknown \
-     numbering, $(b,amd) permutes by greedy minimum degree to cut \
-     factorisation fill on large circuits.  Only affects the sparse backend.  \
-     See docs/SOLVER.md."
-  in
-  Arg.(
-    value
-    & opt (some ordering_conv) None
-    & info [ "ordering" ] ~docv:"ORD" ~doc ~env:(Cmd.Env.info "CNT_ORDERING"))
-
 let gmin_arg =
   let doc = "Target minimum node-to-ground conductance, siemens." in
   Arg.(value & opt float 1e-12 & info [ "gmin" ] ~docv:"G" ~doc)
@@ -97,9 +78,9 @@ let model_arg =
     & opt (some string) None
     & info [ "model" ] ~docv:"BACKEND" ~doc ~env:(Cmd.Env.info "CNT_MODEL"))
 
-let make solver ordering jobs gmin tol max_iter no_homotopy gmin_start
-    gmin_steps source_steps deadline model =
-  Cnt_spice.Engine.config ~backend:solver ?ordering ?jobs ~gmin ~tol ~max_iter
+let make solver jobs gmin tol max_iter no_homotopy gmin_start gmin_steps
+    source_steps deadline model =
+  Cnt_spice.Engine.config ~backend:solver ?jobs ~gmin ~tol ~max_iter
     ~homotopy:
       (if no_homotopy then Cnt_spice.Homotopy.plain_only
        else
@@ -113,7 +94,7 @@ let make solver ordering jobs gmin tol max_iter no_homotopy gmin_start
 
 let term_with model_term =
   Term.(
-    const make $ solver_arg $ ordering_arg $ Cli_jobs.arg
+    const make $ solver_arg $ Cli_jobs.arg
     $ gmin_arg $ tol_arg $ max_iter_arg $ no_homotopy_arg $ gmin_start_arg
     $ gmin_steps_arg $ source_steps_arg $ deadline_arg $ model_term)
 

@@ -3,49 +3,22 @@
    refilled in place, so a Newton loop allocates no matrices after
    compilation; only solution vectors are fresh per solve.
 
-   The sparse backend optionally applies a fill-reducing symmetric
+   The sparse backend always applies a fill-reducing symmetric
    permutation (greedy minimum degree, [Sparse.amd_order]) at create
    time: the pattern is permuted once, slot handles resolve through the
-   cached permutation, and solves gather/scatter the right-hand side
-   and solution through it — so stamp-program callers are oblivious to
-   the ordering in use. *)
+   permutation, and solves gather/scatter the right-hand side and
+   solution through it — so stamp-program callers see only their own
+   unknown numbering.  [renew] reuses all of that symbolic work for a
+   second numeric workspace. *)
 
 exception Singular of string
-
-type ordering =
-  | Natural
-  | Amd
-
-let ordering_name = function Natural -> "natural" | Amd -> "amd"
-
-let ordering_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "natural" -> Some Natural
-  | "amd" -> Some Amd
-  | _ -> None
-
-let default_ordering_lazy =
-  lazy
-    (match Sys.getenv_opt "CNT_ORDERING" with
-    | None | Some "" -> Natural
-    | Some s -> (
-        match ordering_of_string s with
-        | Some o -> o
-        | None ->
-            Printf.eprintf
-              "warning: CNT_ORDERING: unknown ordering %S (expected natural | \
-               amd); using natural\n\
-               %!"
-              s;
-            Natural))
-
-let default_ordering () = Lazy.force default_ordering_lazy
 
 module type S = sig
   type t
 
   val name : string
-  val create : ordering -> int -> (int * int) array -> t
+  val create : int -> (int * int) array -> t
+  val renew : t -> t
   val dim : t -> int
   val nnz : t -> int
   val slot : t -> int -> int -> int
@@ -55,7 +28,7 @@ module type S = sig
   val residual : t -> float array -> float array -> float
   val residual_argmax : t -> float array -> float array -> int * float
   val solve : t -> float array -> float array
-  val ordering_info : t -> string * int * int
+  val fill : t -> int
 end
 
 module Dense : S = struct
@@ -68,8 +41,7 @@ module Dense : S = struct
 
   let name = "dense"
 
-  let create _ordering n pattern =
-    ignore pattern;
+  let create n _pattern =
     (* dense storage admits every location; fill ordering is moot *)
     {
       n;
@@ -77,6 +49,8 @@ module Dense : S = struct
       scratch = Linalg.Mat.make n n 0.0;
       perm = Array.make n 0;
     }
+
+  let renew t = create t.n [||]
 
   let dim t = t.n
   let nnz t = t.n * t.n
@@ -130,134 +104,97 @@ module Dense : S = struct
       Linalg.lu_solve_packed t.scratch t.perm b
     with Linalg.Singular msg -> raise (Singular msg)
 
-  let ordering_info _t = ("natural", 0, 0)
+  let fill _t = 0
 end
 
 module Sparse_lu : S = struct
   type t = {
-    m : Sparse.t; (* pattern permuted when an ordering is applied *)
+    m : Sparse.t; (* the permuted pattern *)
     lu : Sparse.lu;
     n : int;
-    perm : int array; (* position -> original unknown; [||] = identity *)
-    pinv : int array; (* original unknown -> position; [||] = identity *)
+    perm : int array; (* position -> original unknown *)
+    pinv : int array; (* original unknown -> position *)
     xp : float array; (* permuted-vector scratch *)
     bp : float array;
-    fill_natural : int; (* symbolic fill of the natural order *)
-    fill_applied : int; (* symbolic fill of the order in use *)
+    fill : int; (* symbolic fill of the order in use *)
   }
 
   let name = "sparse"
 
-  let create ordering n pattern =
-    let fill_natural = Sparse.natural_fill ~n pattern in
-    match ordering with
-    | Natural ->
-        let b = Sparse.Builder.create n in
-        Array.iter (fun (i, j) -> Sparse.Builder.add b i j) pattern;
-        let m = Sparse.Builder.finalize b in
-        {
-          m;
-          lu = Sparse.lu_create m;
-          n;
-          perm = [||];
-          pinv = [||];
-          xp = [||];
-          bp = [||];
-          fill_natural;
-          fill_applied = fill_natural;
-        }
-    | Amd ->
-        let perm, fill_applied = Sparse.amd_order ~n pattern in
-        let pinv = Array.make n 0 in
-        Array.iteri (fun k v -> pinv.(v) <- k) perm;
-        let b = Sparse.Builder.create n in
-        Array.iter (fun (i, j) -> Sparse.Builder.add b pinv.(i) pinv.(j)) pattern;
-        let m = Sparse.Builder.finalize b in
-        {
-          m;
-          lu = Sparse.lu_create m;
-          n;
-          perm;
-          pinv;
-          xp = Array.make n 0.0;
-          bp = Array.make n 0.0;
-          fill_natural;
-          fill_applied;
-        }
+  let create n pattern =
+    let perm, fill = Sparse.amd_order ~n pattern in
+    let pinv = Array.make n 0 in
+    Array.iteri (fun k v -> pinv.(v) <- k) perm;
+    let b = Sparse.Builder.create n in
+    Array.iter (fun (i, j) -> Sparse.Builder.add b pinv.(i) pinv.(j)) pattern;
+    let m = Sparse.Builder.finalize b in
+    {
+      m;
+      lu = Sparse.lu_create m;
+      n;
+      perm;
+      pinv;
+      xp = Array.make n 0.0;
+      bp = Array.make n 0.0;
+      fill;
+    }
 
-  let identity t = Array.length t.perm = 0
+  let renew t =
+    let m = Sparse.share_pattern t.m in
+    {
+      t with
+      m;
+      lu = Sparse.lu_create m;
+      xp = Array.make t.n 0.0;
+      bp = Array.make t.n 0.0;
+    }
 
   let dim t = Sparse.dim t.m
   let nnz t = Sparse.nnz t.m
-
-  let slot t i j =
-    if identity t then Sparse.slot t.m i j
-    else Sparse.slot t.m t.pinv.(i) t.pinv.(j)
-
+  let slot t i j = Sparse.slot t.m t.pinv.(i) t.pinv.(j)
   let clear t = Sparse.clear t.m
   let add_slot t s v = Sparse.add_slot t.m s v
+  let add_to t i j v = Sparse.add_to t.m t.pinv.(i) t.pinv.(j) v
 
-  let add_to t i j v =
-    if identity t then Sparse.add_to t.m i j v
-    else Sparse.add_to t.m t.pinv.(i) t.pinv.(j) v
+  let permute_into t x b =
+    for k = 0 to t.n - 1 do
+      t.xp.(k) <- x.(t.perm.(k));
+      t.bp.(k) <- b.(t.perm.(k))
+    done
 
   (* The permuted system's residual rows are a permutation of the
      original's, so the inf-norm is the same quantity (summation order
      within a row follows the permuted columns). *)
   let residual t x b =
-    if identity t then Sparse.residual_inf t.m x b
-    else begin
-      for k = 0 to t.n - 1 do
-        t.xp.(k) <- x.(t.perm.(k));
-        t.bp.(k) <- b.(t.perm.(k))
-      done;
-      Sparse.residual_inf t.m t.xp t.bp
-    end
+    permute_into t x b;
+    Sparse.residual_inf t.m t.xp t.bp
 
   let residual_argmax t x b =
-    let xv =
-      if identity t then x
-      else begin
-        for k = 0 to t.n - 1 do
-          t.xp.(k) <- x.(t.perm.(k));
-          t.bp.(k) <- b.(t.perm.(k))
-        done;
-        t.xp
-      end
-    in
-    let bv = if identity t then b else t.bp in
-    let ax = Sparse.mul_vec t.m xv in
+    permute_into t x b;
+    let ax = Sparse.mul_vec t.m t.xp in
     let worst = ref 0.0 and row = ref 0 in
     Array.iteri
       (fun i v ->
-        let r = Float.abs (v -. bv.(i)) in
+        let r = Float.abs (v -. t.bp.(i)) in
         if (not (Float.is_nan !worst)) && (r > !worst || Float.is_nan r)
         then begin
           worst := r;
           row := i
         end)
       ax;
-    let orig_row = if identity t then !row else t.perm.(!row) in
-    (orig_row, !worst)
+    (t.perm.(!row), !worst)
 
   let solve t b =
     try
-      if identity t then begin
-        Sparse.refactor t.lu t.m;
-        Sparse.lu_solve t.lu b
-      end
-      else begin
-        for k = 0 to t.n - 1 do
-          t.bp.(k) <- b.(t.perm.(k))
-        done;
-        Sparse.refactor ~orig_col:(fun k -> t.perm.(k)) t.lu t.m;
-        let xp = Sparse.lu_solve t.lu t.bp in
-        Array.init t.n (fun i -> xp.(t.pinv.(i)))
-      end
+      for k = 0 to t.n - 1 do
+        t.bp.(k) <- b.(t.perm.(k))
+      done;
+      Sparse.refactor ~orig_col:(fun k -> t.perm.(k)) t.lu t.m;
+      let xp = Sparse.lu_solve t.lu t.bp in
+      Array.init t.n (fun i -> xp.(t.pinv.(i)))
     with Sparse.Singular msg -> raise (Singular msg)
 
-  let ordering_info t =
-    ((if identity t then "natural" else "amd"), t.fill_natural, t.fill_applied)
+  let fill t = t.fill
 end
 
 type backend =
@@ -271,8 +208,6 @@ type instance = {
   backend_name : string;
   dim : int;
   nnz : int;
-  ordering_name : string; (* "natural" | "amd" (dense: "natural") *)
-  fill_natural : int; (* symbolic fill of the natural order (sparse) *)
   fill_applied : int; (* symbolic fill of the order in use (sparse) *)
   slot : int -> int -> int;
   clear : unit -> unit;
@@ -281,35 +216,33 @@ type instance = {
   residual : float array -> float array -> float;
   residual_argmax : float array -> float array -> int * float;
   solve : float array -> float array;
+  renew : unit -> instance;
 }
 
-let instantiate (module B : S) ordering n pattern =
-  let t = B.create ordering n pattern in
-  let oname, fill_natural, fill_applied = B.ordering_info t in
-  {
-    backend_name = B.name;
-    dim = B.dim t;
-    nnz = B.nnz t;
-    ordering_name = oname;
-    fill_natural;
-    fill_applied;
-    slot = B.slot t;
-    clear = (fun () -> B.clear t);
-    add_slot = B.add_slot t;
-    add_to = B.add_to t;
-    residual = B.residual t;
-    residual_argmax = B.residual_argmax t;
-    solve = B.solve t;
-  }
-
-let make ?ordering backend n pattern =
-  let ordering =
-    match ordering with Some o -> o | None -> default_ordering ()
+let instantiate (module B : S) n pattern =
+  let rec wrap t =
+    {
+      backend_name = B.name;
+      dim = B.dim t;
+      nnz = B.nnz t;
+      fill_applied = B.fill t;
+      slot = B.slot t;
+      clear = (fun () -> B.clear t);
+      add_slot = B.add_slot t;
+      add_to = B.add_to t;
+      residual = B.residual t;
+      residual_argmax = B.residual_argmax t;
+      solve = B.solve t;
+      renew = (fun () -> wrap (B.renew t));
+    }
   in
+  wrap (B.create n pattern)
+
+let make backend n pattern =
   let m : (module S) =
     match backend with
     | Dense_backend -> (module Dense)
     | Sparse_backend -> (module Sparse_lu)
     | Auto -> if n >= auto_threshold then (module Sparse_lu) else (module Dense)
   in
-  instantiate m ordering n pattern
+  instantiate m n pattern

@@ -13,33 +13,23 @@ exception Singular of string
 (** Raised by [solve] in any backend; wraps the backend's own
     singular-matrix exception. *)
 
-type ordering =
-  | Natural  (** keep the caller's unknown numbering *)
-  | Amd
-      (** permute by greedy minimum degree ({!Sparse.amd_order}) to
-          reduce factorisation fill; sparse backend only (dense storage
-          has no fill to reduce).  The permutation is computed once at
-          create time, cached with the compiled pattern, and applied
-          transparently: slots, residuals and solutions are all
-          expressed in the caller's original numbering. *)
-
-val ordering_name : ordering -> string
-val ordering_of_string : string -> ordering option
-
-val default_ordering : unit -> ordering
-(** The ambient ordering: [CNT_ORDERING] when set to a valid name
-    ("natural" | "amd", warning otherwise), else {!Natural}. *)
-
 module type S = sig
   type t
 
   val name : string
   (** Short identifier used in solver statistics ("dense", "sparse"). *)
 
-  val create : ordering -> int -> (int * int) array -> t
-  (** [create ordering n pattern] allocates an [n x n] system whose
-      writable locations are the (row, col) pairs of [pattern]
-      (duplicates allowed). *)
+  val create : int -> (int * int) array -> t
+  (** [create n pattern] allocates an [n x n] system whose writable
+      locations are the (row, col) pairs of [pattern] (duplicates
+      allowed).  All symbolic work happens here. *)
+
+  val renew : t -> t
+  (** A fresh numeric workspace over the same symbolic analysis: new
+      values and factorisation scratch, with the frozen structure (and
+      the sparse backend's permutation) shared read-only.  Slots of the
+      original stay valid on the result, and the two can be refilled
+      and solved concurrently. *)
 
   val dim : t -> int
 
@@ -70,11 +60,9 @@ module type S = sig
   val solve : t -> float array -> float array
   (** Factor the current values and solve.  Raises {!Singular}. *)
 
-  val ordering_info : t -> string * int * int
-  (** [(ordering_name, fill_natural, fill_applied)]: the ordering in
-      use plus the symbolic factorisation fill of the natural order and
-      of the applied order (both [0] for dense, which has no fill
-      bookkeeping). *)
+  val fill : t -> int
+  (** Symbolic factorisation fill of the order in use ([0] for dense,
+      which has no fill bookkeeping). *)
 end
 
 module Dense : S
@@ -84,7 +72,10 @@ module Dense : S
 
 module Sparse_lu : S
 (** Sparse backend over [Sparse]: CSR storage and Gilbert-Peierls LU
-    with partial pivoting and a reused workspace. *)
+    with partial pivoting and a reused workspace.  The unknowns are
+    always permuted by greedy minimum degree ({!Sparse.amd_order}),
+    computed once at [create]; slots, residuals and solutions are all
+    expressed in the caller's original numbering. *)
 
 type backend =
   | Dense_backend
@@ -101,13 +92,9 @@ type instance = {
   backend_name : string;
   dim : int;
   nnz : int;
-  ordering_name : string;
-      (** "natural" or "amd"; dense always reports "natural" *)
-  fill_natural : int;
-      (** symbolic factorisation fill of the natural order (sparse) *)
   fill_applied : int;
-      (** symbolic factorisation fill of the applied order (sparse);
-          equals [fill_natural] when no permutation is in use *)
+      (** symbolic factorisation fill of the applied order (sparse;
+          [0] for dense) *)
   slot : int -> int -> int;
   clear : unit -> unit;
   add_slot : int -> float -> unit;
@@ -115,11 +102,11 @@ type instance = {
   residual : float array -> float array -> float;
   residual_argmax : float array -> float array -> int * float;
   solve : float array -> float array;
+  renew : unit -> instance;
+      (** {!S.renew} on the packed backend: a fresh numeric workspace
+          sharing this instance's symbolic analysis *)
 }
 
-val instantiate : (module S) -> ordering -> int -> (int * int) array -> instance
-
-val make : ?ordering:ordering -> backend -> int -> (int * int) array -> instance
+val make : backend -> int -> (int * int) array -> instance
 (** [make backend n pattern] builds the requested backend ([Auto]
-    resolves on [n]).  [ordering] defaults to {!default_ordering} and
-    only affects the sparse backend. *)
+    resolves on [n]). *)

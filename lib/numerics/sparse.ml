@@ -88,14 +88,14 @@ let nnz m = Array.length m.cols
 (* ------------------------------------------------------------------ *)
 
 (* Greedy minimum-degree ordering (the exact-degree special case of the
-   AMD family) on the symmetrised pattern graph, plus a symbolic fill
-   estimate for an arbitrary elimination order.  Eliminating a vertex
-   connects its remaining neighbours into a clique — exactly the fill a
-   Cholesky-like factorisation of the symmetrised pattern would create —
-   and the reported count is the sum of neighbourhood sizes at
-   elimination time, an nnz(L) proxy that tracks the factorisation's
-   work and memory.  Deterministic: degree ties break toward the lowest
-   vertex index. *)
+   AMD family) on the symmetrised pattern graph, with the symbolic fill
+   of the order it picks.  Eliminating a vertex connects its remaining
+   neighbours into a clique — exactly the fill a Cholesky-like
+   factorisation of the symmetrised pattern would create — and the
+   reported count is the sum of neighbourhood sizes at elimination
+   time, an nnz(L) proxy that tracks the factorisation's work and
+   memory.  Deterministic: degree ties break toward the lowest vertex
+   index. *)
 
 (* Symmetrised adjacency (no self loops) as per-vertex hash sets. *)
 let ordering_adjacency ~n pattern =
@@ -109,14 +109,62 @@ let ordering_adjacency ~n pattern =
     pattern;
   adj
 
-(* Eliminate every vertex in the order chosen by [next], maintaining
-   the quotient fill graph; returns the order and the symbolic fill. *)
-let ordering_eliminate ~n ~adj ~next =
+(* Pivot selection pops a binary min-heap of packed [degree * n + v]
+   keys, so the (degree, index) order — and with it the lowest-index
+   tie-break — is plain integer order.  Deletion is lazy: a vertex is
+   re-pushed whenever its degree changes, and a popped key is stale
+   when its vertex is already eliminated or its degree has moved on.
+   Every live vertex always has one key at its current degree, so the
+   pop is exactly the minimum a linear scan would find. *)
+let amd_order ~n pattern =
+  let adj = ordering_adjacency ~n pattern in
+  let heap = ref (Array.make (max 1 n) 0) and size = ref 0 in
+  let push key =
+    if !size = Array.length !heap then begin
+      let h = Array.make (2 * !size) 0 in
+      Array.blit !heap 0 h 0 !size;
+      heap := h
+    end;
+    let h = !heap in
+    let i = ref !size in
+    incr size;
+    while !i > 0 && h.((!i - 1) / 2) > key do
+      h.(!i) <- h.((!i - 1) / 2);
+      i := (!i - 1) / 2
+    done;
+    h.(!i) <- key
+  in
+  let pop () =
+    let h = !heap in
+    let top = h.(0) in
+    decr size;
+    let last = h.(!size) and i = ref 0 and sifting = ref true in
+    while !sifting do
+      let l = (2 * !i) + 1 in
+      let c = if l + 1 < !size && h.(l + 1) < h.(l) then l + 1 else l in
+      if c < !size && h.(c) < last then begin
+        h.(!i) <- h.(c);
+        i := c
+      end
+      else sifting := false
+    done;
+    h.(!i) <- last;
+    top
+  in
+  let degree v = Hashtbl.length adj.(v) in
+  for v = 0 to n - 1 do
+    push ((degree v * n) + v)
+  done;
   let eliminated = Array.make n false in
   let perm = Array.make n 0 in
   let fill = ref 0 in
   for k = 0 to n - 1 do
-    let v = next eliminated k in
+    let rec next () =
+      let key = pop () in
+      let v = key mod n in
+      if eliminated.(v) || degree v <> key / n then next () else v
+    in
+    let v = next () in
     perm.(k) <- v;
     eliminated.(v) <- true;
     let nbrs = Hashtbl.fold (fun u () acc -> u :: acc) adj.(v) [] in
@@ -134,28 +182,12 @@ let ordering_eliminate ~n ~adj ~next =
             rest;
           clique rest
     in
-    clique nbrs
+    clique nbrs;
+    List.iter (fun u -> push ((degree u * n) + u)) nbrs
   done;
   (perm, !fill)
 
-let amd_order ~n pattern =
-  let adj = ordering_adjacency ~n pattern in
-  ordering_eliminate ~n ~adj ~next:(fun eliminated _k ->
-      let best = ref (-1) and bestd = ref max_int in
-      for v = 0 to n - 1 do
-        if not eliminated.(v) then begin
-          let d = Hashtbl.length adj.(v) in
-          if d < !bestd then begin
-            bestd := d;
-            best := v
-          end
-        end
-      done;
-      !best)
-
-let natural_fill ~n pattern =
-  let adj = ordering_adjacency ~n pattern in
-  snd (ordering_eliminate ~n ~adj ~next:(fun _ k -> k))
+let share_pattern m = { m with values = Array.make (nnz m) 0.0 }
 
 let slot m i j =
   if i < 0 || j < 0 || i >= m.n || j >= m.n then

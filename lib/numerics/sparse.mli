@@ -54,6 +54,12 @@ val slot : t -> int -> int -> int
 val clear : t -> unit
 (** Zero every stored value, keeping the pattern. *)
 
+val share_pattern : t -> t
+(** A matrix over the same frozen pattern with its own zeroed values:
+    the CSR structure and slot index are shared (read-only after
+    {!Builder.finalize}), so slots of [m] are valid on the result and
+    the two can be refilled concurrently. *)
+
 val add_slot : t -> int -> float -> unit
 (** [add_slot m s v] accumulates [v] into the entry with handle [s]. *)
 
@@ -95,12 +101,8 @@ val amd_order : n:int -> (int * int) array -> int array * int
     [(perm, fill)]: [perm.(k)] is the original index eliminated at
     position [k], and [fill] is the symbolic factorisation fill of
     that order — the sum of neighbourhood sizes at elimination time,
-    an nnz(L) proxy. *)
-
-val natural_fill : n:int -> (int * int) array -> int
-(** Symbolic factorisation fill of the identity (natural) order on the
-    symmetrised pattern graph, comparable with the fill returned by
-    {!amd_order}. *)
+    an nnz(L) proxy.  Pivots come off a binary heap keyed by
+    (degree, index) with lazy deletion. *)
 
 val lu_solve : lu -> float array -> float array
 (** Solve [A x = b] using the factors of the last {!refactor}. *)

@@ -55,10 +55,6 @@ let config_to_json (c : Engine.config) =
   Json.Obj
     [
       ("backend", Json.Str (backend_name c.backend));
-      ( "ordering",
-        opt
-          (fun o -> Json.Str (Cnt_numerics.Linear_solver.ordering_name o))
-          c.ordering );
       ("jobs", opt (fun j -> Json.Num (float_of_int j)) c.jobs);
       ("gmin", Json.Num c.gmin);
       ("tol", Json.Num c.tol);
@@ -135,13 +131,6 @@ let config_of_json ~(base : Engine.config) j =
           get "backend"
             (fun v -> Option.bind (Json.to_str v) backend_of_name)
             j base.backend;
-        ordering =
-          get "ordering"
-            (fun v ->
-              Option.bind (Json.to_str v) (fun s ->
-                  Option.map Option.some
-                    (Cnt_numerics.Linear_solver.ordering_of_string s)))
-            j base.ordering;
         jobs = get "jobs" (fun v -> Option.map Option.some (Json.to_int v)) j
             base.jobs;
         gmin = get "gmin" Json.to_float j base.gmin;

@@ -17,8 +17,6 @@ type table = {
    to thread separately. *)
 type config = {
   backend : Cnt_numerics.Linear_solver.backend;
-  ordering : Cnt_numerics.Linear_solver.ordering option;
-      (* None: Linear_solver.default_ordering () *)
   jobs : int option; (* None: Cnt_par.Pool.default_jobs () *)
   gmin : float;
   tol : float;
@@ -35,7 +33,6 @@ type config = {
 let default_config =
   {
     backend = Cnt_numerics.Linear_solver.Auto;
-    ordering = None;
     jobs = None;
     gmin = 1e-12;
     tol = 1e-9;
@@ -48,11 +45,9 @@ let default_config =
 (* The one way to build a config without spelling the whole record:
    every knob defaults to its [default_config] value, so adding a field
    never breaks builder call sites. *)
-let config ?backend ?ordering ?jobs ?gmin ?tol ?max_iter ?homotopy ?deadline
-    ?model () =
+let config ?backend ?jobs ?gmin ?tol ?max_iter ?homotopy ?deadline ?model () =
   {
     backend = Option.value backend ~default:default_config.backend;
-    ordering;
     jobs;
     gmin = Option.value gmin ~default:default_config.gmin;
     tol = Option.value tol ~default:default_config.tol;
@@ -113,7 +108,7 @@ let op_table ?(config = default_config) circuit prints =
   let r =
     Dc.operating_point ~gmin:config.gmin ~tol:config.tol
       ~max_iter:config.max_iter ~policy:config.homotopy
-      ~backend:config.backend ?ordering:config.ordering circuit
+      ~backend:config.backend circuit
   in
   let prints = default_prints circuit prints in
   let columns = Array.of_list (List.map print_label prints) in
@@ -140,8 +135,7 @@ let dc_table ?(config = default_config) circuit prints ~source ~start ~stop
     try
       Dc.sweep ~gmin:config.gmin ~tol:config.tol ~max_iter:config.max_iter
         ~policy:config.homotopy ~backend:config.backend
-        ?ordering:config.ordering ?jobs:config.jobs circuit ~source ~start
-        ~stop ~step
+        ?jobs:config.jobs circuit ~source ~start ~stop ~step
     with Invalid_argument msg -> raise (Dc.Analysis_error msg)
   in
   let prints = default_prints circuit prints in
@@ -173,7 +167,7 @@ let ac_table ?(config = default_config) circuit prints ~per_decade ~fstart
   let freqs = Ac.decade_frequencies ~start:fstart ~stop:fstop ~per_decade in
   let r =
     Ac.run ~gmin:config.gmin ~tol:config.tol ~max_iter:config.max_iter
-      ~policy:config.homotopy ?ordering:config.ordering circuit ~freqs
+      ~policy:config.homotopy circuit ~freqs
   in
   let prints = default_prints circuit prints in
   let columns =
@@ -216,7 +210,7 @@ let tran_table ?(config = default_config) circuit prints ~tstep ~tstop =
   with_progress ~analysis:"tran" ~label @@ fun () ->
   let r =
     Transient.run ~gmin:config.gmin ~tol:config.tol ~policy:config.homotopy
-      ~backend:config.backend ?ordering:config.ordering circuit ~tstep ~tstop
+      ~backend:config.backend circuit ~tstep ~tstop
   in
   let prints = default_prints circuit prints in
   let columns = Array.of_list ("time" :: List.map print_label prints) in
@@ -345,12 +339,6 @@ let config_manifest (c : config) =
   Manifest.Obj
     [
       ("backend", Manifest.String (backend_name c.backend));
-      ( "ordering",
-        Manifest.String
-          (Cnt_numerics.Linear_solver.ordering_name
-             (match c.ordering with
-             | Some o -> o
-             | None -> Cnt_numerics.Linear_solver.default_ordering ())) );
       ( "jobs",
         Manifest.Int
           (match c.jobs with

@@ -17,10 +17,6 @@ type config = {
   backend : Cnt_numerics.Linear_solver.backend;
       (** linear solver for DC and transient ([Auto]: sparse at 25
           unknowns; AC always uses the dense complex solver) *)
-  ordering : Cnt_numerics.Linear_solver.ordering option;
-      (** sparse fill-reducing ordering ([--ordering] / [CNT_ORDERING]);
-          [None] means {!Cnt_numerics.Linear_solver.default_ordering}
-          (natural).  Dense solves ignore it. *)
   jobs : int option;
       (** DC-sweep fan-out domains; [None] means
           [Cnt_par.Pool.default_jobs ()] ([CNT_JOBS] or 1).  Results
@@ -53,7 +49,6 @@ val default_config : config
 
 val config :
   ?backend:Cnt_numerics.Linear_solver.backend ->
-  ?ordering:Cnt_numerics.Linear_solver.ordering ->
   ?jobs:int ->
   ?gmin:float ->
   ?tol:float ->
@@ -98,9 +93,9 @@ val table_to_csv : table -> string
     [--report] (see {!Cnt_obs.Manifest}). *)
 
 val config_manifest : config -> Cnt_obs.Manifest.json
-(** The configuration {e as resolved}: [None] knobs (ordering,
-    jobs) render as the ambient default they will actually
-    use, so two manifests differ exactly when the runs could. *)
+(** The configuration {e as resolved}: [None] knobs (jobs) render as
+    the ambient default they will actually use, so two manifests
+    differ exactly when the runs could. *)
 
 val table_manifest : table -> Cnt_obs.Manifest.json
 (** Analysis label, column names, row count, per-analysis solver stats

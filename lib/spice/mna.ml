@@ -43,8 +43,7 @@ let h_iters = Obs.histogram "mna.newton_iters_per_solve"
 
 (* Symbolic factorisation fill of the compiled pattern, accumulated at
    compile time (the numerics layer has no telemetry dependency, so the
-   counters tick here from the solver instance's bookkeeping). *)
-let c_fill_natural = Obs.counter "ordering.fill_natural"
+   counter ticks here from the solver instance's bookkeeping). *)
 let c_fill_applied = Obs.counter "ordering.fill_applied"
 
 (* ------------------------------------------------------------------ *)
@@ -200,10 +199,6 @@ type compiled = {
   rhs : float array; (* refilled in place each iteration *)
   stats : stats;
   table : cnfet_table; (* zero rows when the circuit has no CNFETs *)
-  (* kept so [clone] can allocate an identical solver workspace *)
-  sym_backend : Linear_solver.backend;
-  sym_ordering : Linear_solver.ordering;
-  sym_pattern : (int * int) array;
 }
 
 let size c = c.n_nodes + c.n_branches
@@ -416,13 +411,8 @@ let with_scratch tb =
     ct_ws = Array.map Cnt_core.Device_model.stencil tb.ct_models;
   }
 
-let compile_uncached ?(backend = Linear_solver.Auto) ?ordering circuit =
+let compile_uncached ~backend circuit =
   Obs.span "mna.compile" @@ fun () ->
-  let ordering =
-    match ordering with
-    | Some o -> o
-    | None -> Linear_solver.default_ordering ()
-  in
   let node_of_name = Hashtbl.create 16 in
   let names = Circuit.nodes circuit in
   List.iteri (fun i n -> Hashtbl.add node_of_name n i) names;
@@ -516,8 +506,7 @@ let compile_uncached ?(backend = Linear_solver.Auto) ?ordering circuit =
   List.iteri
     (fun k ij -> pattern.(!n_recorded - 1 - k) <- ij)
     !recorded;
-  let solver = Linear_solver.make ~ordering backend n pattern in
-  Obs.incr ~by:solver.Linear_solver.fill_natural c_fill_natural;
+  let solver = Linear_solver.make backend n pattern in
   Obs.incr ~by:solver.Linear_solver.fill_applied c_fill_applied;
   let program =
     Array.map (fun (i, j) -> solver.Linear_solver.slot i j) pattern
@@ -539,29 +528,21 @@ let compile_uncached ?(backend = Linear_solver.Auto) ?ordering circuit =
       fresh_stats ~backend:solver.Linear_solver.backend_name ~unknowns:n
         ~nonzeros:solver.Linear_solver.nnz;
     table = with_scratch table;
-    sym_backend = backend;
-    sym_ordering = ordering;
-    sym_pattern = pattern;
   }
 
 (* A second numeric workspace over the same symbolic compilation: the
-   netlist, node tables, device array and recorded pattern are shared
-   (immutable after compile); the solver instance, slot program, rhs and
-   stats are fresh, so a clone can run Newton concurrently with the
-   original on another domain.  Fold the clone's [stats] back with
-   {!add_stats} if a combined report is wanted. *)
+   netlist, node tables, device array, slot program and the solver's
+   ordering and frozen pattern are shared (immutable after compile);
+   the solver values and LU scratch, rhs and stats are fresh, so a
+   clone can run Newton concurrently with the original on another
+   domain.  Fold the clone's [stats] back with {!add_stats} if a
+   combined report is wanted. *)
 let clone c =
   let n = size c in
-  let solver =
-    Linear_solver.make ~ordering:c.sym_ordering c.sym_backend n c.sym_pattern
-  in
-  let program =
-    Array.map (fun (i, j) -> solver.Linear_solver.slot i j) c.sym_pattern
-  in
+  let solver = c.solver.Linear_solver.renew () in
   {
     c with
     solver;
-    program;
     rhs = Array.make n 0.0;
     stats =
       fresh_stats ~backend:solver.Linear_solver.backend_name ~unknowns:n
@@ -596,7 +577,6 @@ let c_compile_cache_misses = Obs.counter "mna.compile_cache.misses"
 type compile_cache_entry = {
   cc_circuit : Circuit.t;
   cc_backend : Linear_solver.backend;
-  cc_ordering : Linear_solver.ordering;
   cc_template : compiled;
 }
 
@@ -621,12 +601,9 @@ let disable_compile_cache () =
 
 let compile_cache_stats () = (!compile_cache_hits, !compile_cache_misses)
 
-let compile ?(backend = Linear_solver.Auto) ?ordering circuit =
-  if !compile_cache_max = 0 then compile_uncached ~backend ?ordering circuit
+let compile ?(backend = Linear_solver.Auto) circuit =
+  if !compile_cache_max = 0 then compile_uncached ~backend circuit
   else begin
-    let ordering =
-      match ordering with Some o -> o | None -> Linear_solver.default_ordering ()
-    in
     Mutex.lock compile_cache_mutex;
     Fun.protect
       ~finally:(fun () -> Mutex.unlock compile_cache_mutex)
@@ -634,8 +611,7 @@ let compile ?(backend = Linear_solver.Auto) ?ordering circuit =
         match
           List.find_opt
             (fun e ->
-              e.cc_circuit == circuit && e.cc_backend = backend
-              && e.cc_ordering = ordering)
+              e.cc_circuit == circuit && e.cc_backend = backend)
             !compile_cache
         with
         | Some e ->
@@ -645,12 +621,11 @@ let compile ?(backend = Linear_solver.Auto) ?ordering circuit =
         | None ->
             incr compile_cache_misses;
             Obs.incr c_compile_cache_misses;
-            let template = compile_uncached ~backend ~ordering circuit in
+            let template = compile_uncached ~backend circuit in
             let entry =
               {
                 cc_circuit = circuit;
                 cc_backend = backend;
-                cc_ordering = ordering;
                 cc_template = template;
               }
             in

@@ -58,14 +58,12 @@ type compiled
 
 val compile :
   ?backend:Linear_solver.backend ->
-  ?ordering:Linear_solver.ordering ->
   Circuit.t ->
   compiled
-(** Symbolic compilation: pattern, stamp program, solver workspace and
-    the CNFET device table are allocated here, once.  [backend]
-    defaults to [Linear_solver.Auto]; [ordering] to
-    {!Linear_solver.default_ordering} (fill-reducing permutation,
-    sparse backend only). *)
+(** Symbolic compilation: pattern, stamp program, solver workspace
+    (including the sparse backend's fill-reducing ordering) and the
+    CNFET device table are allocated here, once.  [backend] defaults
+    to [Linear_solver.Auto]. *)
 
 (** {2 Compile cache}
 
@@ -91,9 +89,11 @@ val compile_cache_stats : unit -> int * int
     telemetry counters [mna.compile_cache.hits] / [.misses]. *)
 
 val clone : compiled -> compiled
-(** A fresh numeric workspace (solver instance, stamp program, rhs,
-    zeroed stats) over the same symbolic compilation — netlist, node
-    tables and device array are shared.  Clones may run {!newton}
+(** A fresh numeric workspace (solver values and factorisation
+    scratch, rhs, zeroed stats) over the same symbolic compilation —
+    netlist, node tables, device array, stamp program and the solver's
+    ordering and frozen pattern are shared, so a clone repeats none of
+    the symbolic work.  Clones may run {!newton}
     concurrently on separate domains; fold a clone's {!stats} back with
     {!add_stats} for a combined report. *)
 

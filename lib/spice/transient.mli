@@ -23,7 +23,6 @@ val run :
   ?max_newton:int ->
   ?policy:Homotopy.policy ->
   ?backend:Cnt_numerics.Linear_solver.backend ->
-  ?ordering:Cnt_numerics.Linear_solver.ordering ->
   ?initial_condition:float array ->
   Circuit.t ->
   tstep:float ->

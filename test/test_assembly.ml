@@ -3,15 +3,17 @@
    MNA stamps CNFETs only through the batched gather/eval/scatter
    pipeline.  The scalar per-device path survives here as a test
    oracle ({!Kcl_oracle}): at every solution the batched runs return —
-   operating points, DC sweeps at jobs 1 and 4, AMD ordering, the bias
-   point AC linearises around — each CNFET is
-   evaluated with scalar [Device_model.ids] and KCL must close at every
-   node, and one Newton step must solve the scalar linearisation.  Also
-   here: the supporting bitwise pins (plan replanning, allocation-free
-   shift) and the AMD fill-reducing ordering properties. *)
+   operating points, DC sweeps at jobs 1 and 4, the sparse backend's
+   minimum-degree ordering, the bias point AC linearises around — each
+   CNFET is evaluated with scalar [Device_model.ids] and KCL must close
+   at every node, and one Newton step must solve the scalar
+   linearisation.  Also here: the supporting bitwise pins (clones, plan
+   replanning, allocation-free shift) and the ordering's properties
+   against scan and natural-order oracles. *)
 
 open Cnt_numerics
 open Cnt_spice
+module Obs = Cnt_obs.Obs
 
 let bits = Int64.bits_of_float
 
@@ -68,24 +70,54 @@ let test_ac_bias_kcl () =
   let r = Ac.run c ~freqs:[| 1e3; 1e6; 1e9 |] in
   Kcl_oracle.check_solution "ac bias point" r.Ac.compiled r.Ac.op.Dc.solution
 
-let test_amd_ordering_kcl () =
-  let c = inverter_circuit () in
-  let nat =
-    Dc.operating_point ~backend:Linear_solver.Sparse_backend
-      ~ordering:Linear_solver.Natural c
+let chain_circuit ~stages =
+  let fam = Lazy.force fam in
+  let cells, _ =
+    Stdcells.inverter_chain fam ~prefix:"c" ~input:"in" ~stages ~vdd_node:"vdd"
   in
-  let amd =
-    Dc.operating_point ~backend:Linear_solver.Sparse_backend
-      ~ordering:Linear_solver.Amd c
-  in
-  Kcl_oracle.check_solution "amd op" amd.Dc.compiled amd.Dc.solution;
-  (* orderings permute the same linear systems, so they land on the
-     same solution to well within the Newton tolerance *)
-  Array.iteri
-    (fun i v ->
-      if Float.abs (v -. amd.Dc.solution.(i)) > 1e-9 then
-        Alcotest.failf "ordering changed the solution beyond 1e-9 at %d" i)
-    nat.Dc.solution
+  Stdcells.bench fam ~stimuli:[ Circuit.vdc "vin" "in" "0" 0.27 ] ~cells
+
+let test_dense_sparse_agree () =
+  (* the sparse backend always permutes by minimum degree; the dense
+     backend never permutes, so the two land on the same solution only
+     to within the Newton tolerance, not bitwise *)
+  List.iter
+    (fun (label, c) ->
+      let dense = Dc.operating_point ~backend:Linear_solver.Dense_backend c in
+      let sparse = Dc.operating_point ~backend:Linear_solver.Sparse_backend c in
+      Kcl_oracle.check_solution (label ^ " (sparse)") sparse.Dc.compiled
+        sparse.Dc.solution;
+      Array.iteri
+        (fun i v ->
+          if Float.abs (v -. sparse.Dc.solution.(i)) > 1e-9 then
+            Alcotest.failf "%s: dense and sparse differ beyond 1e-9 at %d (%s)"
+              label i (Mna.unknown_name dense.Dc.compiled i))
+        dense.Dc.solution)
+    [ ("inverter", inverter_circuit ()); ("chain-100", chain_circuit ~stages:100) ]
+
+let test_clone_bitwise () =
+  (* a clone shares the template's symbolic analysis (ordering, frozen
+     pattern, slot program), so its Newton run is the same arithmetic *)
+  List.iter
+    (fun (label, c, backend) ->
+      let template = Mna.compile ~backend c in
+      let clone = Mna.clone template in
+      let grandchild = Mna.clone clone in
+      let x = Dc.solve_compiled template in
+      List.iter
+        (fun (who, compiled) ->
+          let y = Dc.solve_compiled compiled in
+          Array.iteri
+            (fun i v ->
+              if not (Int64.equal (bits v) (bits y.(i))) then
+                Alcotest.failf "%s: %s differs from the template at %d: %h vs %h"
+                  label who i v y.(i))
+            x)
+        [ ("clone", clone); ("clone of a clone", grandchild) ])
+    [
+      ("inverter (dense)", inverter_circuit (), Linear_solver.Dense_backend);
+      ("chain-100 (sparse)", chain_circuit ~stages:100, Linear_solver.Sparse_backend);
+    ]
 
 let test_newton_step_linearisation () =
   (* one undamped step from a point off the solution: the Jacobian the
@@ -162,6 +194,50 @@ let test_shift_into_matches_shift () =
 (* AMD ordering properties                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* Oracles for [Sparse.amd_order]: the same clique elimination on the
+   symmetrised pattern graph, with the pivot picked by a caller-given
+   rule — a linear scan for minimum degree (lowest index on ties), or
+   the identity for the natural order.  Returns [(perm, fill)] with
+   fill counted as in [Sparse.amd_order]. *)
+let eliminate_by ~n pattern ~next =
+  let adj = Array.init n (fun _ -> Hashtbl.create 8) in
+  Array.iter
+    (fun (i, j) ->
+      if i <> j then begin
+        Hashtbl.replace adj.(i) j ();
+        Hashtbl.replace adj.(j) i ()
+      end)
+    pattern;
+  let eliminated = Array.make n false in
+  let perm = Array.make n 0 and fill = ref 0 in
+  for k = 0 to n - 1 do
+    let v = next ~adj ~eliminated k in
+    perm.(k) <- v;
+    eliminated.(v) <- true;
+    let nbrs = List.of_seq (Hashtbl.to_seq_keys adj.(v)) in
+    fill := !fill + List.length nbrs;
+    List.iter (fun u -> Hashtbl.remove adj.(u) v) nbrs;
+    List.iter
+      (fun u ->
+        List.iter (fun w -> if u <> w then Hashtbl.replace adj.(u) w ()) nbrs)
+      nbrs
+  done;
+  (perm, !fill)
+
+let scan_amd_order ~n pattern =
+  eliminate_by ~n pattern ~next:(fun ~adj ~eliminated _k ->
+      let best = ref (-1) and bestd = ref max_int in
+      for v = 0 to n - 1 do
+        if (not eliminated.(v)) && Hashtbl.length adj.(v) < !bestd then begin
+          bestd := Hashtbl.length adj.(v);
+          best := v
+        end
+      done;
+      !best)
+
+let natural_fill ~n pattern =
+  snd (eliminate_by ~n pattern ~next:(fun ~adj:_ ~eliminated:_ k -> k))
+
 let random_pattern rng n =
   (* connected-ish random sparse pattern with a full diagonal *)
   let entries = Hashtbl.create 64 in
@@ -197,11 +273,51 @@ let test_amd_fill_no_worse () =
     let n = 2 + Random.State.int rng 40 in
     let pattern = random_pattern rng n in
     let _, amd_fill = Sparse.amd_order ~n pattern in
-    let nat_fill = Sparse.natural_fill ~n pattern in
+    let nat_fill = natural_fill ~n pattern in
     if amd_fill > nat_fill then
       Alcotest.failf "amd fill %d exceeds natural fill %d (n=%d)" amd_fill
         nat_fill n
   done
+
+let check_heap_matches_scan label ~n pattern =
+  let perm, fill = Sparse.amd_order ~n pattern in
+  let perm', fill' = scan_amd_order ~n pattern in
+  Alcotest.(check int) (label ^ " fill") fill' fill;
+  Alcotest.(check (array int)) (label ^ " perm") perm' perm
+
+let test_heap_matches_scan () =
+  let rng = Random.State.make [| 5150 |] in
+  for t = 1 to 500 do
+    let n = 1 + Random.State.int rng 60 in
+    check_heap_matches_scan (Printf.sprintf "random #%d" t) ~n
+      (random_pattern rng n)
+  done;
+  (* an inverter chain with a supply hub: stage k couples its input,
+     output and the shared vdd row, the shape whose natural order
+     fills in densely *)
+  let stages = 300 in
+  let n = stages + 2 in
+  let vdd = stages + 1 in
+  let pattern =
+    Array.concat
+      (List.init stages (fun k ->
+           [| (k, k); (k + 1, k); (k + 1, k + 1); (k + 1, vdd); (vdd, k + 1) |]))
+  in
+  check_heap_matches_scan "chain with hub" ~n
+    (Array.append pattern [| (vdd, vdd) |])
+
+let test_chain_fill_linear () =
+  (* structural, no timing: minimum degree keeps the 1000-stage chain's
+     fill linear in its size (the natural order's is ~500 x unknowns) *)
+  let c = chain_circuit ~stages:1000 in
+  Obs.enable ();
+  Obs.reset ();
+  let compiled = Mna.compile c in
+  let fill = Obs.value (Obs.counter "ordering.fill_applied") in
+  Obs.disable ();
+  let n = Mna.size compiled in
+  if fill > 3 * n then
+    Alcotest.failf "1000-stage chain: fill %d exceeds 3 x %d unknowns" fill n
 
 (* ------------------------------------------------------------------ *)
 (* Jobs capping                                                        *)
@@ -224,8 +340,10 @@ let () =
           Alcotest.test_case "dc sweep kcl, serial and pooled" `Quick
             test_dc_sweep_kcl;
           Alcotest.test_case "ac bias point closes kcl" `Quick test_ac_bias_kcl;
-          Alcotest.test_case "kcl under amd ordering" `Quick
-            test_amd_ordering_kcl;
+          Alcotest.test_case "dense = sparse (inverter, chain)" `Quick
+            test_dense_sparse_agree;
+          Alcotest.test_case "clone newton bitwise = template" `Quick
+            test_clone_bitwise;
           Alcotest.test_case "newton step = scalar linearisation" `Quick
             test_newton_step_linearisation;
         ] );
@@ -242,6 +360,10 @@ let () =
             test_amd_permutation_valid;
           Alcotest.test_case "amd fill <= natural fill" `Quick
             test_amd_fill_no_worse;
+          Alcotest.test_case "heap order = scan order, bitwise" `Quick
+            test_heap_matches_scan;
+          Alcotest.test_case "chain-1000 fill <= 3 x unknowns" `Quick
+            test_chain_fill_linear;
         ] );
       ( "jobs",
         [ Alcotest.test_case "cap_jobs clamps at host cores" `Quick test_cap_jobs ] );

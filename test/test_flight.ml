@@ -416,7 +416,7 @@ let test_retired_flags_exit_2 () =
         (flag ^ " usage message")
         true
         (contains ~needle:"unknown option" err))
-    [ ("--cache", "4096") ]
+    [ ("--cache", "4096"); ("--ordering", "amd") ]
 
 (* ------------------------------------------------------------------ *)
 (* bench differ                                                        *)

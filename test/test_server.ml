@@ -102,7 +102,6 @@ let test_config_roundtrip () =
     {
       Cnt_spice.Engine.default_config with
       backend = Cnt_numerics.Linear_solver.Sparse_backend;
-      ordering = Some Cnt_numerics.Linear_solver.Amd;
       jobs = Some 3;
       tol = 1e-7;
       deadline = Some 2.5;
@@ -191,6 +190,7 @@ let test_request_errors () =
     [
       ("{\"assembly\":\"scalar\"}", "\"assembly\"");
       ("{\"cache\":\"4096\"}", "\"cache\"");
+      ("{\"ordering\":\"natural\"}", "\"ordering\"");
       ("{\"modle\":\"vs\"}", "\"modle\"");
       ("{\"homotopy\":{\"dampd\":true}}", "\"dampd\"");
     ]
@@ -513,6 +513,7 @@ let test_edge_cases () =
     [
       ("{\"assembly\":\"scalar\"}", "\"assembly\"");
       ("{\"cache\":\"4096\"}", "\"cache\"");
+      ("{\"ordering\":\"natural\"}", "\"ordering\"");
       ("{\"modle\":\"vs\"}", "\"modle\"");
       ("{\"homotopy\":{\"dampd\":true}}", "\"dampd\"");
     ];
