@@ -34,8 +34,7 @@ let () =
   Printf.printf "  operating point: V(d) = %.3f V, I_D = %.2f uA\n" vd (id *. 1e6);
 
   (* model-level small-signal parameters at that bias *)
-  let gm = Cnt_model.gm model ~vgs:vbias ~vds:vd in
-  let gds = Cnt_model.gds model ~vgs:vbias ~vds:vd in
+  let _, gm, gds = Cnt_model.linearise model ~vgs:vbias ~vds:vd in
   let gain_expected = gm /. ((1.0 /. r_load) +. gds) in
   Printf.printf "  extracted gm = %.2f uS, gds = %.2f uS -> |Av| = %.2f expected\n"
     (gm *. 1e6) (gds *. 1e6) gain_expected;

@@ -222,106 +222,80 @@ let transfer t ~vds ~vgs_points =
   let g = eval_batch t ~vgs:vgs_points ~vds:[| vds |] in
   Array.init (Array.length vgs_points) (fun i -> Bigarray.Array2.get g i 0)
 
-(* Numerical transconductance and output conductance (central
-   differences), for small-signal work. *)
-let gm ?(dv = 1e-4) t ~vgs ~vds =
-  (ids t ~vgs:(vgs +. dv) ~vds -. ids t ~vgs:(vgs -. dv) ~vds) /. (2.0 *. dv)
+(* Analytic small-signal parameters from one solved V_SC.  On oriented
+   voltages the current is I = scale (F0(eta_s) - F0(eta_d)) with
+   eta_s = (E_F - V_SC)/kT and eta_d = eta_s - V_DS/kT, so at fixed
+   V_DS, dI/dV_SC = (scale/kT) (F0'(eta_d) - F0'(eta_s)).  V_SC is the
+   root of F(V) = C_Sigma V + Q_t - Q_S(V) - Q_S(V + V_DS) with
+   Q_t = C_G V_GS + C_D V_DS, so by the implicit function theorem
+   dV_SC/dV_GS = -C_G/F' and dV_SC/dV_DS = (Q_S'(V_SC + V_DS) - C_D)/F',
+   and V_DS also enters eta_d directly.  The p-type mirror
+   I_p(v) = -I_n(-v) negates both the current and the voltages, so gm
+   and gds keep their sign.  The three results land in [out] (an
+   unboxed float array, so the assembly loop allocates nothing). *)
+let small_signal t ~cg ~cd ~vsc ~ovds ~slope ~drain_slope out =
+  let kt = t.kt_ev in
+  let eta_s = (t.device.Device.fermi -. vsc) /. kt in
+  let eta_d = eta_s -. (ovds /. kt) in
+  let i =
+    t.current_scale
+    *. (Fermi.integral_order0 eta_s -. Fermi.integral_order0 eta_d)
+  in
+  let g = t.current_scale /. kt in
+  let sd = Fermi.integral_order0' eta_d in
+  let di_dvsc = g *. (sd -. Fermi.integral_order0' eta_s) in
+  let gm = di_dvsc *. (-.cg /. slope) in
+  let gds = (di_dvsc *. ((drain_slope -. cd) /. slope)) +. (g *. sd) in
+  out.(0) <- (match t.polarity with N_type -> i | P_type -> -.i);
+  out.(1) <- gm;
+  out.(2) <- gds
 
-let gds ?(dv = 1e-4) t ~vgs ~vds =
-  (ids t ~vgs ~vds:(vds +. dv) -. ids t ~vgs ~vds:(vds -. dv)) /. (2.0 *. dv)
+(* The scalar (current, gm, gds) at a bias point, through the scalar
+   solve. *)
+let linearise t ~vgs ~vds =
+  Obs.incr c_ids_evals;
+  let ovgs, ovds = oriented t ~vgs ~vds in
+  let cg = Device.c_gate t.device and cd = Device.c_drain t.device in
+  let s =
+    Scv_solver.solve_stats t.solver ~qt:((cg *. ovgs) +. (cd *. ovds)) ~vds:ovds
+  in
+  let out = Array.make 3 0.0 in
+  small_signal t ~cg ~cd ~vsc:s.Scv_solver.vsc ~ovds ~slope:s.Scv_solver.slope
+    ~drain_slope:s.Scv_solver.drain_slope out;
+  (out.(0), out.(1), out.(2))
 
 type vec = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-(* The three reusable solver plans behind one stencil evaluation (bias
-   point, vds + dv, vds - dv).  One workspace serves one domain at a
-   time: assembly code keeps a workspace per device per cloned system,
-   never sharing across concurrently-solving clones. *)
-type stencil_ws = {
-  sw0 : Scv_solver.plan;
-  swp : Scv_solver.plan;
-  swm : Scv_solver.plan;
-}
+(* [linearise] as MNA assembly calls it: one solver plan per evaluator,
+   retargeted each call ([replan] is a no-op at an unchanged drain
+   bias, which quasi-static waveforms hit often), the device
+   capacitances hoisted, and the three results written to slot [k] of
+   the output columns.  [solve_plan] and its slopes are bitwise the
+   scalar solve's, so each value is bitwise [linearise]'s.
 
-let stencil_ws t =
-  {
-    sw0 = Scv_solver.plan t.solver ~vds:0.0;
-    swp = Scv_solver.plan t.solver ~vds:0.0;
-    swm = Scv_solver.plan t.solver ~vds:0.0;
-  }
-
-(* The MNA stencil — [ids] at the bias point plus the four
-   central-difference evaluations behind [gm]/[gds] — as one batched
-   kernel writing slot [k] of three output columns.  The per-point
-   program is [ids] with the gate/drain capacitances hoisted (they are
-   pure per-device values, recomputed per call by
-   [Device.terminal_charge]) and [Scv_solver.solve] replaced by the
-   bitwise-equal [solve_plan] over three solver plans (vds, vds+dv,
-   vds-dv).
-
-   [fault_i0] is the [Fault.Nan_eval] injection site: the bias-point
-   current becomes NaN {e without} evaluating the model there (no
-   counter tick), while the four
-   derivative points still evaluate — [Fault.fires] is stateless, so
-   hoisting the decision out of the assembly loop cannot change it. *)
-let eval_stencil ?(dv = 1e-4) ?ws t ~fault_i0 ~vgs ~vds ~i0 ~gm ~gds ~k =
+   [fault_i0] is the [Fault.Nan_eval] injection site: the current
+   becomes NaN while the solve still runs and gm/gds are written as
+   usual — [Fault.fires] is stateless, so hoisting the decision out of
+   the assembly loop cannot change it.  One evaluator belongs to one
+   domain at a time: assembly keeps one per device per cloned
+   system. *)
+let evaluator t =
   let cg = Device.c_gate t.device and cd = Device.c_drain t.device in
-  let fermi = t.device.Device.fermi in
-  let kt = t.kt_ev and scale = t.current_scale in
-  let point plan ~ovgs ~ovds =
-    Obs.incr c_ids_evals;
-    let qt = (cg *. ovgs) +. (cd *. ovds) in
-    let vsc = Scv_solver.solve_plan plan ~qt in
-    let eta_s = (fermi -. vsc) /. kt in
-    let eta_d = eta_s -. (ovds /. kt) in
-    let i =
-      scale *. (Fermi.integral_order0 eta_s -. Fermi.integral_order0 eta_d)
-    in
-    match t.polarity with N_type -> i | P_type -> -.i
-  in
-  (* [oriented] without its tuple: the sign flip is the same [-.] the
-     tuple form applies *)
   let flip = match t.polarity with N_type -> false | P_type -> true in
-  let ori v = if flip then -.v else v in
-  let ovgs0 = ori vgs and ovds0 = ori vds in
-  let plan0 =
-    match ws with
-    | Some w ->
-        Scv_solver.replan w.sw0 ~vds:ovds0;
-        w.sw0
-    | None -> Scv_solver.plan t.solver ~vds:ovds0
-  in
-  let i0v =
-    if fault_i0 then Float.nan else point plan0 ~ovgs:ovgs0 ~ovds:ovds0
-  in
-  let ovgs_p = ori (vgs +. dv) in
-  let ovgs_m = ori (vgs -. dv) in
-  let gmv =
-    (point plan0 ~ovgs:ovgs_p ~ovds:ovds0 -. point plan0 ~ovgs:ovgs_m ~ovds:ovds0)
-    /. (2.0 *. dv)
-  in
-  let ovds_p = ori (vds +. dv) in
-  let ovds_m = ori (vds -. dv) in
-  let plan_p =
-    match ws with
-    | Some w ->
-        Scv_solver.replan w.swp ~vds:ovds_p;
-        w.swp
-    | None -> Scv_solver.plan t.solver ~vds:ovds_p
-  in
-  let plan_m =
-    match ws with
-    | Some w ->
-        Scv_solver.replan w.swm ~vds:ovds_m;
-        w.swm
-    | None -> Scv_solver.plan t.solver ~vds:ovds_m
-  in
-  let gdsv =
-    (point plan_p ~ovgs:ovgs0 ~ovds:ovds_p -. point plan_m ~ovgs:ovgs0 ~ovds:ovds_m)
-    /. (2.0 *. dv)
-  in
-  Bigarray.Array1.unsafe_set i0 k i0v;
-  Bigarray.Array1.unsafe_set gm k gmv;
-  Bigarray.Array1.unsafe_set gds k gdsv
+  let plan = Scv_solver.plan t.solver ~vds:0.0 in
+  let out = Array.make 3 0.0 in
+  fun ~fault_i0 ~vgs ~vds ~i0 ~gm ~gds ~k ->
+    Obs.incr c_ids_evals;
+    (* [oriented] without its tuple: the same [-.] flip *)
+    let ovgs = if flip then -.vgs else vgs in
+    let ovds = if flip then -.vds else vds in
+    Scv_solver.replan plan ~vds:ovds;
+    let vsc = Scv_solver.solve_plan plan ~qt:((cg *. ovgs) +. (cd *. ovds)) in
+    small_signal t ~cg ~cd ~vsc ~ovds ~slope:(Scv_solver.plan_slope plan)
+      ~drain_slope:(Scv_solver.plan_drain_slope plan) out;
+    Bigarray.Array1.unsafe_set i0 k (if fault_i0 then Float.nan else out.(0));
+    Bigarray.Array1.unsafe_set gm k out.(1);
+    Bigarray.Array1.unsafe_set gds k out.(2)
 
 let pp fmt t =
   Format.fprintf fmt "@[<v>%s model (%s, %d pieces, charge RMS %.3f%%)@ %a@]"

@@ -93,25 +93,23 @@ val output_family :
 val transfer : t -> vds:float -> vgs_points:float array -> float array
 (** Transfer characteristic, evaluated through {!eval_batch}. *)
 
-val gm : ?dv:float -> t -> vgs:float -> vds:float -> float
-(** Transconductance [dI/dV_GS] by central difference. *)
+(** {1 Small-signal parameters}
 
-val gds : ?dv:float -> t -> vgs:float -> vds:float -> float
-(** Output conductance [dI/dV_DS] by central difference. *)
+    Exact derivatives from the closed form: the one V_SC solve leaves
+    the residual's slope [F'] and the drain curve's slope at the root
+    ({!Scv_solver.stats}), and the implicit function theorem turns them
+    into [dV_SC/dV_GS = -C_G/F'] and
+    [dV_SC/dV_DS = (Q_S'(V_SC + V_DS) - C_D)/F'].  No finite
+    differences, no extra solves. *)
+
+val linearise : t -> vgs:float -> vds:float -> float * float * float
+(** [(ids, gm, gds)] at a bias point: the drain current ({!ids},
+    bitwise) and its analytic derivatives [dI/dV_GS], [dI/dV_DS]
+    (S), through one scalar solve. *)
 
 type vec = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-type stencil_ws
-(** Reusable workspace for {!eval_stencil}: the three solver plans one
-    stencil evaluation retargets each call.  A workspace belongs to the
-    model that created it and must not be shared between domains
-    evaluating concurrently (keep one per device per cloned system). *)
-
-val stencil_ws : t -> stencil_ws
-
-val eval_stencil :
-  ?dv:float ->
-  ?ws:stencil_ws ->
+val evaluator :
   t ->
   fault_i0:bool ->
   vgs:float ->
@@ -121,16 +119,14 @@ val eval_stencil :
   gds:vec ->
   k:int ->
   unit
-(** The MNA assembly stencil as one batched kernel: writes slot [k] of
-    the three output columns with [ids t ~vgs ~vds] and the
-    central-difference [gm]/[gds] at step [dv], hoisting the three
-    per-drain-bias solver plans and the device capacitances out of the
-    five point evaluations.  With [ws] the plans reuse the workspace's
-    storage ({!Scv_solver.replan}) instead of allocating.  Each value
-    is {e bitwise-equal} to the scalar calls (pinned per backend by
-    [test/test_models.ml]).
-    [fault_i0] is the [Fault.Nan_eval] injection site: the bias-point
-    current is NaN and that point is not evaluated, while the
-    derivative points still are. *)
+(** [evaluator t] is a fresh MNA evaluation closure owning one solver
+    plan ({!Scv_solver.replan}ned each call, a no-op at an unchanged
+    drain bias).  Each call writes slot [k] of the three output
+    columns with {!linearise}'s triple, bitwise (pinned per backend by
+    [test/test_models.ml]), from one closed-form solve.  [fault_i0] is
+    the [Fault.Nan_eval] injection site: the current is written as NaN
+    while the solve still runs and gm/gds are written as usual.  An
+    evaluator must not be shared between domains evaluating
+    concurrently (keep one per device per cloned system). *)
 
 val pp : Format.formatter -> t -> unit

@@ -25,7 +25,7 @@ type polarity = Cnt_model.polarity =
 
 type vec = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-type stencil =
+type eval =
   fault_i0:bool ->
   vgs:float ->
   vds:float ->
@@ -44,10 +44,9 @@ type t = {
       (* canonical resolved card attributes (including "model"), plain
          float syntax — [remodel] re-parses these under another backend *)
   ids : vgs:float -> vds:float -> float;
-  gm : vgs:float -> vds:float -> float;
-  gds : vgs:float -> vds:float -> float;
+  linearise : vgs:float -> vds:float -> float * float * float;
   charges : vgs:float -> vds:float -> float * float * float;
-  stencil : unit -> stencil;
+  evaluator : unit -> eval;
   intrinsic_caps : length:float -> (float * float) option;
   as_piecewise : Cnt_model.t option;
   pp : Format.formatter -> unit;
@@ -59,10 +58,9 @@ let polarity t = t.polarity
 let device t = t.device
 let card t = t.card
 let ids t = t.ids
-let gm t = t.gm
-let gds t = t.gds
+let linearise t = t.linearise
 let charges t = t.charges
-let stencil t = t.stencil ()
+let evaluator t = t.evaluator ()
 let intrinsic_caps t = t.intrinsic_caps
 let as_piecewise t = t.as_piecewise
 let pp t fmt = t.pp fmt
@@ -217,14 +215,9 @@ let of_piecewise ?(card = []) m =
     device = dev;
     card;
     ids = (fun ~vgs ~vds -> Cnt_model.ids m ~vgs ~vds);
-    gm = (fun ~vgs ~vds -> Cnt_model.gm m ~vgs ~vds);
-    gds = (fun ~vgs ~vds -> Cnt_model.gds m ~vgs ~vds);
+    linearise = (fun ~vgs ~vds -> Cnt_model.linearise m ~vgs ~vds);
     charges = (fun ~vgs ~vds -> Cnt_model.charges m ~vgs ~vds);
-    stencil =
-      (fun () ->
-        let ws = Cnt_model.stencil_ws m in
-        fun ~fault_i0 ~vgs ~vds ~i0 ~gm ~gds ~k ->
-          Cnt_model.eval_stencil ~ws m ~fault_i0 ~vgs ~vds ~i0 ~gm ~gds ~k);
+    evaluator = (fun () -> Cnt_model.evaluator m);
     intrinsic_caps = (fun ~length -> caps_of_device dev ~length);
     as_piecewise = Some m;
     pp = (fun fmt -> Cnt_model.pp fmt m);
@@ -322,21 +315,16 @@ let of_vs ?(card = []) m =
     device = dev;
     card;
     ids = (fun ~vgs ~vds -> Vs_model.ids m ~vgs ~vds);
-    gm = (fun ~vgs ~vds -> Vs_model.gm m ~vgs ~vds);
-    gds = (fun ~vgs ~vds -> Vs_model.gds m ~vgs ~vds);
+    linearise = (fun ~vgs ~vds -> Vs_model.linearise m ~vgs ~vds);
     charges = (fun ~vgs ~vds -> Vs_model.charges m ~vgs ~vds);
-    stencil =
+    evaluator =
       (fun () ->
         (* the VS evaluation is closed-form with no per-drain-bias plan
-           to hoist, so the batched stencil is exactly the five scalar
-           calls — bitwise equality with them is free *)
+           to hoist, so the evaluator is the scalar call — bitwise
+           equality with it is free *)
         fun ~fault_i0 ~vgs ~vds ~i0 ~gm ~gds ~k ->
-          let i0v =
-            if fault_i0 then Float.nan else Vs_model.ids m ~vgs ~vds
-          in
-          let gmv = Vs_model.gm m ~vgs ~vds in
-          let gdsv = Vs_model.gds m ~vgs ~vds in
-          Bigarray.Array1.unsafe_set i0 k i0v;
+          let i, gmv, gdsv = Vs_model.linearise m ~vgs ~vds in
+          Bigarray.Array1.unsafe_set i0 k (if fault_i0 then Float.nan else i);
           Bigarray.Array1.unsafe_set gm k gmv;
           Bigarray.Array1.unsafe_set gds k gdsv);
     intrinsic_caps = (fun ~length -> caps_of_device dev ~length);

@@ -21,7 +21,7 @@ type polarity = Cnt_model.polarity =
 
 type vec = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-type stencil =
+type eval =
   fault_i0:bool ->
   vgs:float ->
   vds:float ->
@@ -30,14 +30,15 @@ type stencil =
   gds:vec ->
   k:int ->
   unit
-(** One workspace-backed MNA stencil evaluation: writes slot [k] of the
-    three output columns with the bias-point current and the
-    central-difference [gm]/[gds].  Must be {e bitwise-equal} to the
-    corresponding scalar {!ids}/{!gm}/{!gds} calls.  [fault_i0] makes the bias-point current NaN without
-    evaluating the model there (the [Fault.Nan_eval] injection site);
-    the derivative points still evaluate.  A stencil closure
-    owns its scratch state: keep one per device per cloned system,
-    never share across concurrently solving domains. *)
+(** One MNA device evaluation: writes slot [k] of the three output
+    columns with the bias-point current and its analytic derivatives
+    [gm = dI/dV_GS] and [gds = dI/dV_DS].  Must be {e bitwise-equal}
+    to {!linearise} at the same bias.  [fault_i0] (the
+    [Fault.Nan_eval] injection site) writes the current as NaN; the
+    model still evaluates and gm/gds are written as usual.  An
+    evaluation closure owns its scratch state: keep one per device
+    per cloned system, never share across concurrently solving
+    domains. *)
 
 type t
 (** A circuit-ready device model. *)
@@ -63,15 +64,17 @@ val ids : t -> vgs:float -> vds:float -> float
 (** Drain current, A.  Negative for p-type devices under positive
     bias. *)
 
-val gm : t -> vgs:float -> vds:float -> float
-val gds : t -> vgs:float -> vds:float -> float
+val linearise : t -> vgs:float -> vds:float -> float * float * float
+(** [(ids, gm, gds)]: the drain current ({!ids}, bitwise) and its
+    analytic derivatives in [V_GS] and [V_DS], S.  The numbers MNA
+    assembly, AC analysis and the test oracles linearise with. *)
 
 val charges : t -> vgs:float -> vds:float -> float * float * float
 (** [(v_sc, q_s, q_d)]: backend-defined bias-point charge summary
     (piecewise: self-consistent voltage and mobile charges in C/m). *)
 
-val stencil : t -> stencil
-(** A fresh stencil closure with its own workspace. *)
+val evaluator : t -> eval
+(** A fresh evaluation closure with its own workspace. *)
 
 val intrinsic_caps : t -> length:float -> (float * float) option
 (** Meyer-style [(c_gs, c_gd)] intrinsic terminal capacitances for a

@@ -58,6 +58,8 @@ type stats = {
   interval : float * float; (* bracketing interval (may be infinite) *)
   degree : int; (* degree of the polynomial solved *)
   used_fallback : bool; (* true when bisection rescued a degenerate case *)
+  slope : float; (* F'(vsc) *)
+  drain_slope : float; (* Q_S'(vsc + vds) *)
 }
 
 let create ~qs ~c_sigma =
@@ -110,14 +112,27 @@ let residual t ~qt ~vds v =
   (t.c_sigma *. v) +. qt -. Piecewise.eval t.qs v
   -. Piecewise.eval t.qs (v +. vds)
 
-(* The polynomial form of F on the interval containing [x]. *)
-let residual_poly t ~qt ~vds x =
+(* The piece of the drain curve on the interval containing [x], as a
+   function of V: q_d(V) = p(V + vds). *)
+let drain_piece t ~vds x =
+  Polynomial.shift (Piecewise.piece_at t.qs (x +. vds)) vds
+
+(* The polynomial form of F on the interval containing [x], given that
+   interval's drain piece. *)
+let residual_poly t ~qt ~pd x =
   let open Polynomial in
   let linear = of_coeffs [| qt; t.c_sigma |] in
-  let ps = Piecewise.piece_at t.qs x in
-  (* piece of the drain curve as a function of V: q_d(V) = p(V + vds) *)
-  let pd = Polynomial.shift (Piecewise.piece_at t.qs (x +. vds)) vds in
-  sub (sub linear ps) pd
+  sub (sub linear (Piecewise.piece_at t.qs x)) pd
+
+(* Derivative at [x] of the polynomial in the first [n] cells of [p],
+   by Horner.  The scalar and plan paths both take their slopes here,
+   on bitwise-equal coefficients, so the slopes agree bitwise too. *)
+let slope_at p n x =
+  let acc = ref 0.0 in
+  for j = n - 1 downto 1 do
+    acc := (!acc *. x) +. (float_of_int j *. Array.unsafe_get p j)
+  done;
+  !acc
 
 (* Endpoints of interval [k] of the merged-breakpoint partition:
    interval 0 is (-inf, b_0], interval k is (b_{k-1}, b_k], interval n
@@ -143,83 +158,16 @@ let representative_of ~lo ~hi =
 (* Closed-form solve of the residual polynomial on one bracketing
    interval — the tail shared by the scalar path and the batched plan
    path, so the two are the same floating-point program by
-   construction. *)
-let solve_on_interval t ~qt ~vds ~lo ~hi poly =
+   construction.  Roots land in the caller's 3-cell scratch [rbuf]
+   ([real_roots_trimmed_into] writes bitwise what the list form returns;
+   [List.filter] order is preserved by the in-place compaction), so
+   root extraction stays off the allocator; [fell_back] records a
+   bisection rescue for {!solve_stats}. *)
+let solve_on_interval ?fell_back t ~qt ~vds ~lo ~hi ~rbuf poly =
   (* both call sites hand over a trimmed polynomial (residual_poly
      normalises; the plan path trims as it builds), so the degree read
      and the trimmed root extraction match the historical
      normalise-then-solve bitwise without the defensive copy *)
-  let deg = Array.length poly - 1 in
-  Obs.incr c_solves;
-  Obs.incr
-    (match deg with
-    | 3 -> c_cubic
-    | 2 -> c_quadratic
-    | _ -> c_linear);
-  let eps = 1e-9 in
-  (* roots and the in-interval filter run over a fixed 3-cell buffer
-     ([real_roots_trimmed_into] writes bitwise what the list form
-     returns; [List.filter] order is preserved by the in-place
-     compaction), keeping root extraction off the allocator *)
-  let rbuf = Array.make 3 0.0 in
-  let nr = Polynomial.real_roots_trimmed_into poly rbuf in
-  let nc = ref 0 in
-  for i = 0 to nr - 1 do
-    let r = Array.unsafe_get rbuf i in
-    if r >= lo -. eps && r <= hi +. eps then begin
-      Array.unsafe_set rbuf !nc r;
-      incr nc
-    end
-  done;
-  let clamp v = Float.min (Float.max v lo) hi in
-  match !nc with
-  | 1 ->
-      {
-        vsc = clamp rbuf.(0);
-        interval = (lo, hi);
-        degree = deg;
-        used_fallback = false;
-      }
-  | 0 ->
-      (* defensive fallback: bisection on a finite cover of the interval;
-         not reached for well-formed monotone charge fits *)
-      Obs.incr c_fallback;
-      Atomic.incr fallback_total;
-      let flo = if Float.is_finite lo then lo else hi -. 10.0 in
-      let fhi = if Float.is_finite hi then hi else lo +. 10.0 in
-      let r = Rootfind.bisect ~tol:1e-13 (residual t ~qt ~vds) flo fhi in
-      {
-        vsc = r.Rootfind.root;
-        interval = (lo, hi);
-        degree = deg;
-        used_fallback = true;
-      }
-  | nc ->
-      (* multiple closed-form roots landed inside (degenerate shapes);
-         keep the one with the smallest residual — the fold starts from
-         the first candidate and walks all of them, mirroring the
-         historical [List.fold_left] over the full candidate list *)
-      let best = ref rbuf.(0) in
-      for i = 0 to nc - 1 do
-        let r = rbuf.(i) in
-        if
-          Float.abs (residual t ~qt ~vds r)
-          < Float.abs (residual t ~qt ~vds !best)
-        then best := r
-      done;
-      {
-        vsc = clamp !best;
-        interval = (lo, hi);
-        degree = deg;
-        used_fallback = false;
-      }
-
-(* [solve_on_interval] for the plan path: the same counters, the same
-   root extraction, filter, clamp and fallback program (bitwise —
-   test/test_assembly.ml pins plan solves against scalar ones),
-   but the roots land in the caller's scratch and only the voltage
-   comes back, keeping the per-point solve off the allocator. *)
-let solve_on_interval_vsc t ~qt ~vds ~lo ~hi ~rbuf poly =
   let deg = Array.length poly - 1 in
   Obs.incr c_solves;
   Obs.incr
@@ -240,12 +188,19 @@ let solve_on_interval_vsc t ~qt ~vds ~lo ~hi ~rbuf poly =
   match !nc with
   | 1 -> Float.min (Float.max rbuf.(0) lo) hi
   | 0 ->
+      (* defensive fallback: bisection on a finite cover of the interval;
+         not reached for well-formed monotone charge fits *)
       Obs.incr c_fallback;
       Atomic.incr fallback_total;
+      Option.iter (fun r -> r := true) fell_back;
       let flo = if Float.is_finite lo then lo else hi -. 10.0 in
       let fhi = if Float.is_finite hi then hi else lo +. 10.0 in
       (Rootfind.bisect ~tol:1e-13 (residual t ~qt ~vds) flo fhi).Rootfind.root
   | nc ->
+      (* multiple closed-form roots landed inside (degenerate shapes);
+         keep the one with the smallest residual — the fold starts from
+         the first candidate and walks all of them, mirroring the
+         historical [List.fold_left] over the full candidate list *)
       let best = ref rbuf.(0) in
       for i = 0 to nc - 1 do
         let r = rbuf.(i) in
@@ -267,8 +222,22 @@ let solve_stats t ~qt ~vds =
   in
   let k = find 0 in
   let lo, hi = interval_bounds bps k in
-  let poly = residual_poly t ~qt ~vds (representative_of ~lo ~hi) in
-  solve_on_interval t ~qt ~vds ~lo ~hi poly
+  let x = representative_of ~lo ~hi in
+  let pd = drain_piece t ~vds x in
+  let poly = residual_poly t ~qt ~pd x in
+  let fell_back = ref false in
+  let vsc =
+    solve_on_interval ~fell_back t ~qt ~vds ~lo ~hi ~rbuf:(Array.make 3 0.0)
+      poly
+  in
+  {
+    vsc;
+    interval = (lo, hi);
+    degree = Array.length poly - 1;
+    used_fallback = !fell_back;
+    slope = slope_at poly (Array.length poly) vsc;
+    drain_slope = slope_at pd (Array.length pd) vsc;
+  }
 
 let solve t ~qt ~vds = (solve_stats t ~qt ~vds).vsc
 
@@ -292,20 +261,23 @@ let solve t ~qt ~vds = (solve_stats t ~qt ~vds).vsc
    values fill on first touch of each scan position and the interval
    records (pieces pre-negated, drain piece pre-shifted) materialise
    on first solve landing in them.  The MNA batched assembly path
-   builds three plans per device per Newton iteration, so plan
+   retargets one plan per device per Newton iteration, so plan
    construction sits on the hot path alongside [solve_plan].
 
    Each precomputed part is produced by the same function calls on the
    same inputs as the scalar path, and the per-point residual
    [(c_sigma * b + qt) - e1 - e2] replays the scalar operation order
    with e1, e2 memoised, so [solve_plan] is bitwise-equal to [solve]
-   at every (qt, vds) — the property test suite pins this. *)
+   at every (qt, vds) — the property test suite pins this.  The root's
+   slopes ([plan_slope], [plan_drain_slope]) come from the same
+   coefficients by the same Horner program, so they equal
+   {!solve_stats}'s [slope] and [drain_slope] bitwise as well. *)
 
 (* [Piecewise.piece_index] and [Piecewise.eval] replicated over the
    solver's cached copies of the boundary and piece arrays: the same
    left-inclusive boundary rule and the same Horner program, minus the
    call overhead — the plan scan's lazy fills run these tens of times
-   per stencil evaluation. *)
+   per device evaluation. *)
 let qs_piece_index t x =
   let bs = t.sbs in
   let nb = Array.length bs in
@@ -359,6 +331,9 @@ type plan = {
   s2 : float array; (* scratch: full residual accumulation *)
   bufs : Polynomial.t array; (* trimmed residual polynomials by length *)
   rbuf : float array; (* root-extraction scratch, length 3 *)
+  sens : float array;
+      (* the last root's F' and Q_S'(V + vds), in an unboxed array so
+         writing them allocates nothing *)
 }
 
 let replan_force p ~vds =
@@ -456,6 +431,7 @@ let plan t ~vds =
       s2 = Array.make cap 0.0;
       bufs = Array.init (cap + 1) (fun l -> Array.make l 0.0);
       rbuf = Array.make 3 0.0;
+      sens = Array.make 2 0.0;
     }
   in
   replan p ~vds;
@@ -555,5 +531,15 @@ let solve_plan p ~qt =
   let n2 = !n2 in
   let poly = p.bufs.(n2) in
   Array.blit s2 0 poly 0 n2;
-  solve_on_interval_vsc t ~qt ~vds:p.plan_vds ~lo:iv.iv_lo ~hi:iv.iv_hi
-    ~rbuf:p.rbuf poly
+  let vsc =
+    solve_on_interval t ~qt ~vds:p.plan_vds ~lo:iv.iv_lo ~hi:iv.iv_hi
+      ~rbuf:p.rbuf poly
+  in
+  (* the drain piece is stored negated: negation is exact, so this is
+     bitwise the scalar path's slope of the un-negated piece *)
+  p.sens.(0) <- slope_at poly n2 vsc;
+  p.sens.(1) <- -.slope_at npd lnpd vsc;
+  vsc
+
+let plan_slope p = p.sens.(0)
+let plan_drain_slope p = p.sens.(1)

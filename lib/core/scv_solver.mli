@@ -12,6 +12,13 @@ type stats = {
   interval : float * float;  (** bracketing breakpoint interval *)
   degree : int;  (** degree of the polynomial solved on it *)
   used_fallback : bool;  (** whether bisection rescued a degenerate case *)
+  slope : float;
+      (** [F'(vsc)]: the derivative of the bracketing interval's
+          residual polynomial at the root, F/m.  The implicit-function
+          sensitivities follow from it: [dV_SC/dQ_t = -1/slope]. *)
+  drain_slope : float;
+      (** [Q_S'(vsc + vds)]: the drain charge curve's slope at the
+          root, from the same interval's drain piece, F/m *)
 }
 
 val create : qs:Piecewise.t -> c_sigma:float -> t
@@ -28,10 +35,6 @@ val merged_breakpoints : t -> vds:float -> float array
 val residual : t -> qt:float -> vds:float -> float -> float
 (** [F(V) = C_Sigma V + Q_t - Q_S(V) - Q_D(V)]; strictly increasing in
     [V]. *)
-
-val residual_poly : t -> qt:float -> vds:float -> float -> Cnt_numerics.Polynomial.t
-(** The polynomial equal to [F] on the breakpoint interval containing
-    the given point. *)
 
 val solve_stats : t -> qt:float -> vds:float -> stats
 (** Solve [F(V) = 0] in closed form, with diagnostics. *)
@@ -65,7 +68,17 @@ val replan : plan -> vds:float -> unit
     iteration, keeping plan construction off the allocator. *)
 
 val solve_plan : plan -> qt:float -> float
-(** [solve_plan (plan t ~vds) ~qt] = [solve t ~qt ~vds], bitwise. *)
+(** [solve_plan (plan t ~vds) ~qt] = [solve t ~qt ~vds], bitwise.  The
+    root's slopes stay in the plan until the next solve. *)
+
+val plan_slope : plan -> float
+(** [slope] of {!solve_stats} at the plan's last solve, bitwise — the
+    Horner derivative of the residual polynomial the solve just built,
+    no further evaluation. *)
+
+val plan_drain_slope : plan -> float
+(** [drain_slope] of {!solve_stats} at the plan's last solve,
+    bitwise. *)
 
 val fallback_events : unit -> int
 (** Process-wide count of bisection rescues since program start,

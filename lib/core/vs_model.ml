@@ -79,47 +79,84 @@ let identity t = t.identity
    the limit is x itself. *)
 let softplus x = if x > 40.0 then x else Float.log1p (Float.exp x)
 
-(* Forward current for oriented, non-negative V_DS, with the
-   virtual-source charge (C/m) it was computed from. *)
+(* One oriented bias point: the virtual-source charge (C/m), the
+   current with the n-type sign and its partials in V_GS and V_DS. *)
+type point = {
+  q : float;
+  i : float;
+  di_dvgs : float;
+  di_dvds : float;
+}
+
+(* Forward operation (oriented, non-negative V_DS).  With
+   u = (V_GS - V_T)/(n phi_t) and x = V_DS/V_dsat:
+     dQ/dV_GS = C_inv sigma(u),  dQ/dV_DS = delta C_inv sigma(u)
+   (sigma the logistic function, the softplus derivative; V_T falls
+   with V_DS through DIBL), and
+     dF_sat/dx = (1 + x^beta)^(-1/beta - 1). *)
 let forward t ~vgs ~vds =
   let vt = t.p.vt0 -. (t.p.dibl *. vds) in
   let nphi = t.p.n_ss *. t.phi_t in
-  let qix0 = t.p.cinv *. nphi *. softplus ((vgs -. vt) /. nphi) in
+  let u = (vgs -. vt) /. nphi in
+  let qix0 = t.p.cinv *. nphi *. softplus u in
   let x = vds /. t.p.vdsat in
-  let fsat = x /. (((1.0 +. (x ** t.p.beta)) ** (1.0 /. t.p.beta))) in
-  (qix0, qix0 *. t.p.vxo *. fsat)
+  let xb = 1.0 +. (x ** t.p.beta) in
+  let root = xb ** (1.0 /. t.p.beta) in
+  let fsat = x /. root in
+  (* the softplus cutoff's own derivative; logistic(40) rounds to 1 *)
+  let dq_dvgs =
+    t.p.cinv *. if u > 40.0 then 1.0 else Fermi.integral_order0' u
+  in
+  let dfsat_dvds = 1.0 /. (root *. xb *. t.p.vdsat) in
+  let qv = qix0 *. t.p.vxo in
+  let di_dvgs = dq_dvgs *. t.p.vxo *. fsat in
+  {
+    q = qix0;
+    i = qv *. fsat;
+    di_dvgs;
+    di_dvds = (t.p.dibl *. di_dvgs) +. (qv *. dfsat_dvds);
+  }
 
-(* (Q_ix0, I_DS) on oriented voltages with the n-type sign; the S/D
-   swap handles the reverse region. *)
+(* The S/D swap handles the reverse region:
+   I(V_GS, V_DS) = -I_f(V_GS - V_DS, -V_DS), so by the chain rule
+   dI/dV_GS = -dI_f/dV_GS and dI/dV_DS = dI_f/dV_GS + dI_f/dV_DS. *)
 let solve_point t ~vgs ~vds =
   if vds >= 0.0 then forward t ~vgs ~vds
   else begin
-    let q, i = forward t ~vgs:(vgs -. vds) ~vds:(-.vds) in
-    (q, -.i)
+    let f = forward t ~vgs:(vgs -. vds) ~vds:(-.vds) in
+    {
+      q = f.q;
+      i = -.f.i;
+      di_dvgs = -.f.di_dvgs;
+      di_dvds = f.di_dvgs +. f.di_dvds;
+    }
   end
 
 let oriented t ~vgs ~vds =
   match t.polarity with N_type -> (vgs, vds) | P_type -> (-.vgs, -.vds)
 
+let sign t i = match t.polarity with N_type -> i | P_type -> -.i
+
 let ids t ~vgs ~vds =
   Obs.incr c_ids_evals;
   let ovgs, ovds = oriented t ~vgs ~vds in
-  let i = snd (solve_point t ~vgs:ovgs ~vds:ovds) in
-  match t.polarity with N_type -> i | P_type -> -.i
+  sign t (solve_point t ~vgs:ovgs ~vds:ovds).i
+
+(* The p-type mirror negates the current and both voltages, so the
+   derivatives keep their sign. *)
+let linearise t ~vgs ~vds =
+  Obs.incr c_ids_evals;
+  let ovgs, ovds = oriented t ~vgs ~vds in
+  let p = solve_point t ~vgs:ovgs ~vds:ovds in
+  (sign t p.i, p.di_dvgs, p.di_dvds)
 
 (* Virtual-source charge and its drain-swapped counterpart, playing the
    role of the piecewise model's source/drain mobile charges. *)
 let charges t ~vgs ~vds =
   let ovgs, ovds = oriented t ~vgs ~vds in
-  let qs = fst (solve_point t ~vgs:ovgs ~vds:ovds) in
-  let qd = fst (solve_point t ~vgs:(ovgs -. ovds) ~vds:(-.ovds)) in
+  let qs = (solve_point t ~vgs:ovgs ~vds:ovds).q in
+  let qd = (solve_point t ~vgs:(ovgs -. ovds) ~vds:(-.ovds)).q in
   (0.0, qs, qd)
-
-let gm ?(dv = 1e-4) t ~vgs ~vds =
-  (ids t ~vgs:(vgs +. dv) ~vds -. ids t ~vgs:(vgs -. dv) ~vds) /. (2.0 *. dv)
-
-let gds ?(dv = 1e-4) t ~vgs ~vds =
-  (ids t ~vgs ~vds:(vds +. dv) -. ids t ~vgs ~vds:(vds -. dv)) /. (2.0 *. dv)
 
 let pp fmt t =
   Format.fprintf fmt

@@ -60,7 +60,10 @@ val charges : t -> vgs:float -> vds:float -> float * float * float
     and at the source/drain-swapped point.  The first slot is 0 — this
     model has no self-consistent voltage. *)
 
-val gm : ?dv:float -> t -> vgs:float -> vds:float -> float
-val gds : ?dv:float -> t -> vgs:float -> vds:float -> float
+val linearise : t -> vgs:float -> vds:float -> float * float * float
+(** [(ids, gm, gds)]: the drain current ({!ids}, bitwise) and its
+    analytic derivatives in [V_GS] and [V_DS] (S) — the softplus, DIBL
+    and [F_sat] terms and the reverse-bias source/drain swap
+    differentiated by the chain rule. *)
 
 val pp : Format.formatter -> t -> unit

@@ -18,9 +18,9 @@
    CNFETs are lowered at compile time into a structure-of-arrays table,
    and every refill stamps them in three passes: gather all bias points
    from the solution vector into contiguous columns, evaluate them
-   through each device's workspace-backed
-   {!Cnt_core.Device_model.stencil}, and scatter the stamps back
-   through the recorded slot program.
+   through each device's {!Cnt_core.Device_model.evaluator} (one
+   closed-form solve and analytic gm/gds per device), and scatter the
+   stamps back through the recorded slot program.
 
    Unknown vector layout: node voltages first (one per non-ground
    node), then one branch current per voltage source or inductor.
@@ -174,9 +174,10 @@ type cnfet_table = {
   ct_i0 : Cnt_core.Device_model.vec; (* batched kernel outputs *)
   ct_gm : Cnt_core.Device_model.vec;
   ct_gds : Cnt_core.Device_model.vec;
-  (* per-device workspace-backed stencil closures; mutable scratch,
-     never shared between clones (clones may evaluate concurrently) *)
-  ct_ws : Cnt_core.Device_model.stencil array;
+  (* per-device evaluation closures, each owning one solver plan;
+     mutable scratch, never shared between clones (clones may evaluate
+     concurrently) *)
+  ct_evals : Cnt_core.Device_model.eval array;
 }
 
 let fvec n =
@@ -366,8 +367,8 @@ let stamp_system ~table ~devices ~n_nodes ~add_j ~add_b ~eval_wave ~caps ~inds
 (* ------------------------------------------------------------------ *)
 
 (* Lower the [nt] CNFETs of [devices] into the structure-of-arrays
-   table: float columns zeroed, no stencil workspaces yet ([ct_ws]
-   empty; {!with_scratch} adds them). *)
+   table: float columns zeroed, no evaluators yet ([ct_evals] empty;
+   {!with_scratch} adds them). *)
 let cnfet_table devices nt =
   let ct_d = Array.make nt (-1)
   and ct_g = Array.make nt (-1)
@@ -394,12 +395,11 @@ let cnfet_table devices nt =
     ct_i0 = fvec nt;
     ct_gm = fvec nt;
     ct_gds = fvec nt;
-    ct_ws = [||];
+    ct_evals = [||];
   }
 
 (* Fresh per-workspace scratch over [tb]'s node and model columns, which
-   stay shared: new float columns and one stencil workspace per
-   device. *)
+   stay shared: new float columns and one evaluator per device. *)
 let with_scratch tb =
   {
     tb with
@@ -408,7 +408,7 @@ let with_scratch tb =
     ct_i0 = fvec tb.ct_n;
     ct_gm = fvec tb.ct_n;
     ct_gds = fvec tb.ct_n;
-    ct_ws = Array.map Cnt_core.Device_model.stencil tb.ct_models;
+    ct_evals = Array.map Cnt_core.Device_model.evaluator tb.ct_models;
   }
 
 let compile_uncached ~backend circuit =
@@ -486,7 +486,7 @@ let compile_uncached ~backend circuit =
   let zero_caps = Array.make !n_caps { geq = 0.0; ieq = 0.0 } in
   let zero_inds = Array.make !n_inds { zeq = 0.0; veq = 0.0 } in
   (* the symbolic pass stamps from the table's zeroed output columns, so
-     it evaluates no device; the stencil workspaces are only added once
+     it evaluates no device; the evaluators are only added once
      the solver is built, after the symbolic factorisation's scratch is
      dead, which keeps peak memory down on large circuits *)
   let table = cnfet_table devices !n_cnfets in
@@ -646,12 +646,14 @@ let compile ?(backend = Linear_solver.Auto) circuit =
 
    The CNFET work runs first as two table passes — gather every
    device's (vgs, vds) from the solution vector into the contiguous
-   bias columns, then evaluate all stencils through the plan-sharing
-   batched kernel — and the stamp replay (the scatter pass) reads the
-   output columns.  The [Fault.Nan_eval] decision is hoisted out of the
-   device loop: [Fault.fires] is a pure function of the installed spec
-   and the domain-local rung/point context, none of which change within
-   one refill, so one decision serves every device.  Circuits without
+   bias columns, then run every device's evaluator (one closed-form
+   solve each, analytic gm/gds) — and the stamp replay (the scatter
+   pass) reads the output columns.  The [Fault.Nan_eval] decision is
+   hoisted out of the device loop: [Fault.fires] is a pure function of
+   the installed spec and the domain-local rung/point context, none of
+   which change within one refill, so one decision serves every
+   device.  Under it every device still evaluates (and ticks its
+   counters) and only the currents become NaN.  Circuits without
    CNFETs skip the three passes and their spans. *)
 let refill c ~eval_wave ~caps ~inds ~gmin x =
   let tb = c.table in
@@ -671,7 +673,7 @@ let refill c ~eval_wave ~caps ~inds ~gmin x =
       let span_e = Obs.start_span "assemble.batch_eval" in
       let fault_i0 = Fault.fires Fault.Nan_eval in
       for k = 0 to tb.ct_n - 1 do
-        tb.ct_ws.(k) ~fault_i0
+        tb.ct_evals.(k) ~fault_i0
           ~vgs:(Bigarray.Array1.unsafe_get tb.ct_vgs k)
           ~vds:(Bigarray.Array1.unsafe_get tb.ct_vds k)
           ~i0:tb.ct_i0 ~gm:tb.ct_gm ~gds:tb.ct_gds ~k

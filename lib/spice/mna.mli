@@ -11,7 +11,7 @@
 
     CNFETs are stamped in three passes per refill: gather every
     device's bias point into contiguous columns, evaluate all of them
-    through each device's {!Cnt_core.Device_model.stencil}, scatter
+    through each device's {!Cnt_core.Device_model.evaluator}, scatter
     the stamps through the recorded program (see [docs/ASSEMBLY.md]).
 
     Unknowns are node voltages first, then one branch current per

@@ -87,8 +87,7 @@ let check_newton_step ?(gmin = 1e-12) ?(rtol = 1e-9) label c x0 =
   in
   let cnfet m ~d ~g ~s =
     let vgs0, vds0 = bias c x0 ~d ~g ~s and vgs1, vds1 = bias c x1 ~d ~g ~s in
-    DM.ids m ~vgs:vgs0 ~vds:vds0
-    +. (DM.gm m ~vgs:vgs0 ~vds:vds0 *. (vgs1 -. vgs0))
-    +. (DM.gds m ~vgs:vgs0 ~vds:vds0 *. (vds1 -. vds0))
+    let i0, gm, gds = DM.linearise m ~vgs:vgs0 ~vds:vds0 in
+    i0 +. (gm *. (vgs1 -. vgs0)) +. (gds *. (vds1 -. vds0))
   in
   check ~rtol label c (node_currents ~gmin ~cnfet c x1)

@@ -1,5 +1,5 @@
 (* The pluggable device-model tier: registry dispatch, deck [model=]
-   parsing, per-backend evaluation invariants (batched stencil bitwise
+   parsing, per-backend evaluation invariants (the MNA evaluator bitwise
    equal to scalar calls, jobs-count independence, scalar KCL closing
    at batched DC sweep points, I_DS monotone in V_DS), the --model /
    CNT_MODEL run override, the cache-identity contract (two decks
@@ -177,9 +177,9 @@ let model_of_backend backend =
   | Ok m -> m
   | Error msg -> Alcotest.failf "%s: of_card failed: %s" backend msg
 
-(* Small negative V_DS points included deliberately: the stencil's
-   central differences step below zero near the origin, so both paths
-   must agree there too. *)
+(* Negative and zero V_DS points included deliberately: the vs
+   backend swaps source and drain below zero, and the evaluator's one
+   plan is retargeted across the sign change. *)
 let bias_grid =
   List.concat_map
     (fun vgs ->
@@ -188,20 +188,38 @@ let bias_grid =
         [ -0.05; 0.0; 0.05; 0.13; 0.3; 0.45; 0.6 ])
     [ 0.0; 0.05; 0.13; 0.3; 0.45; 0.6 ]
 
-let test_stencil_matches_scalar backend () =
-  let m = model_of_backend backend in
-  let stencil = DM.stencil m in
-  let vec () = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout 1 in
-  let i0 = vec () and gm = vec () and gds = vec () in
+(* One evaluator walks the whole grid, so its plan is retargeted (and
+   reused warm when V_DS repeats) between points; every output must
+   still be bitwise the scalar [linearise] triple, and the current
+   bitwise [ids]. *)
+let test_eval_matches_scalar backend () =
   List.iter
-    (fun (vgs, vds) ->
-      stencil ~fault_i0:false ~vgs ~vds ~i0 ~gm ~gds ~k:0;
-      let at (v : DM.vec) = Bigarray.Array1.get v 0 in
-      let tag p = Printf.sprintf "%s %s vgs=%g vds=%g" backend p vgs vds in
-      check_bits (tag "i0") (DM.ids m ~vgs ~vds) (at i0);
-      check_bits (tag "gm") (DM.gm m ~vgs ~vds) (at gm);
-      check_bits (tag "gds") (DM.gds m ~vgs ~vds) (at gds))
-    bias_grid
+    (fun polarity ->
+      let m =
+        match DM.of_card ~backend ~polarity ~number:float_of_string [] with
+        | Ok m -> m
+        | Error msg -> Alcotest.failf "%s: of_card failed: %s" backend msg
+      in
+      let eval = DM.evaluator m in
+      let vec () = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout 1 in
+      let i0 = vec () and gm = vec () and gds = vec () in
+      List.iter
+        (fun (vgs, vds) ->
+          let vgs, vds =
+            match polarity with
+            | DM.N_type -> (vgs, vds)
+            | DM.P_type -> (-.vgs, -.vds)
+          in
+          eval ~fault_i0:false ~vgs ~vds ~i0 ~gm ~gds ~k:0;
+          let at (v : DM.vec) = Bigarray.Array1.get v 0 in
+          let tag p = Printf.sprintf "%s %s vgs=%g vds=%g" backend p vgs vds in
+          let i, g, d = DM.linearise m ~vgs ~vds in
+          check_bits (tag "ids") (DM.ids m ~vgs ~vds) i;
+          check_bits (tag "i0") i (at i0);
+          check_bits (tag "gm") g (at gm);
+          check_bits (tag "gds") d (at gds))
+        bias_grid)
+    [ DM.N_type; DM.P_type ]
 
 let test_monotone_ids backend () =
   let m = model_of_backend backend in
@@ -231,7 +249,7 @@ let test_jobs_invariance backend () =
   check_tables_bitwise (backend ^ ": jobs 1 = jobs 4") (run 1) (run 4)
 
 let test_kcl_oracle backend () =
-  (* every backend's batched stencil, as MNA stamps it, must solve to
+  (* every backend's evaluator, as MNA stamps it, must solve to
      points where scalar [ids] closes KCL *)
   let deck = Parser.parse (sweep_deck_text backend) in
   let r =
@@ -434,7 +452,7 @@ let () =
           tc "circuit remodel no-op" test_circuit_remodel_noop;
         ] );
       ( "invariants",
-        per_backend "stencil = scalar bitwise" test_stencil_matches_scalar
+        per_backend "eval = scalar bitwise" test_eval_matches_scalar
         @ per_backend "ids monotone in vds" test_monotone_ids
         @ per_backend "jobs invariance" test_jobs_invariance
         @ per_backend "batched sweep closes kcl" test_kcl_oracle );

@@ -605,8 +605,7 @@ let test_ac_cs_amplifier_gain () =
   in
   let r = Ac.run c ~freqs:[| 1e3 |] in
   let vd = Dc.voltage r.Ac.op "d" in
-  let gm = Cnt_core.Cnt_model.gm m ~vgs:0.45 ~vds:vd in
-  let gds = Cnt_core.Cnt_model.gds m ~vgs:0.45 ~vds:vd in
+  let _, gm, gds = Cnt_core.Cnt_model.linearise m ~vgs:0.45 ~vds:vd in
   let expected = gm /. ((1.0 /. rl) +. gds) in
   check_close ~eps:1e-3 "gm*(RL||ro)" expected (Complex.norm (Ac.voltage r "d").(0))
 
